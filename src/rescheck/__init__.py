@@ -46,10 +46,6 @@ from .harness import (
     gen_tenv,
     gen_welltyped,
     run_corpus,
-    run_lemma1_trial,
-    run_lemma2_trial,
-    run_lemma5_trial,
-    run_soundness_trial,
     run_suite,
 )
 from .lattice import LatticeError, enumerate_types, join, leq, meet
@@ -101,95 +97,3 @@ from .typechecker import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "App",
-    "Assign",
-    "BinOp",
-    "Bool",
-    "BoolV",
-    "Bop",
-    "CheckError",
-    "ClosV",
-    "CorpusReport",
-    "CorpusRow",
-    "Deref",
-    "Discarded",
-    "EMPTY",
-    "Empty",
-    "EquivConfig",
-    "EquivStats",
-    "Expr",
-    "FaultKind",
-    "For",
-    "FuelExhausted",
-    "Func",
-    "FunType",
-    "GenConfig",
-    "HIGH",
-    "High",
-    "If",
-    "IntV",
-    "Judgment",
-    "LOW",
-    "LatticeError",
-    "Let",
-    "LocV",
-    "Low",
-    "Num",
-    "Ok",
-    "Outcome",
-    "ParseError",
-    "Pass",
-    "Pos",
-    "Ref",
-    "RefType",
-    "RuntimeFault",
-    "SUITES",
-    "SecType",
-    "Seq",
-    "State",
-    "Store",
-    "SuiteReport",
-    "TEnv",
-    "TrialResult",
-    "Unit",
-    "UnitV",
-    "Value",
-    "Var",
-    "Violation",
-    "While",
-    "check",
-    "check_program",
-    "default_corpus_dir",
-    "display_type",
-    "enumerate_types",
-    "error_json",
-    "evaluate",
-    "fresh_loc",
-    "gen_lowequiv_states",
-    "gen_tenv",
-    "gen_welltyped",
-    "is_base",
-    "is_effect",
-    "join",
-    "judgment_json",
-    "leq",
-    "low_equiv",
-    "meet",
-    "parse",
-    "parse_type",
-    "pretty",
-    "pretty_type",
-    "pretty_value",
-    "run_corpus",
-    "run_lemma1_trial",
-    "run_lemma2_trial",
-    "run_lemma5_trial",
-    "run_program",
-    "run_soundness_trial",
-    "run_suite",
-    "trace_check",
-    "value_equiv",
-    "well_formed",
-]

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .harness import GenConfig, SUITES, run_corpus, run_suite
 from .interpreter import (
@@ -22,28 +23,7 @@ from .interpreter import (
     run_program,
 )
 from .parser import ParseError, parse
-from .syntax import (
-    LOW,
-    App,
-    Assign,
-    Bool,
-    Bop,
-    Deref,
-    Expr,
-    For,
-    Func,
-    If,
-    Let,
-    Num,
-    Ref,
-    Seq,
-    Unit,
-    Var,
-    While,
-    display_type,
-    pretty,
-    pretty_type,
-)
+from .syntax import LOW, BinOp, Expr, SecType, display_type, pretty, pretty_type
 from .typechecker import CheckError, error_json, judgment_json, trace_check
 
 EXIT_OK = 0
@@ -95,46 +75,23 @@ def _parse_source(path: str, as_json: bool):
 
 
 def ast_json(e: Expr) -> dict:
-    """A plain-dict rendering of the tree, stable across runs."""
+    """A plain-dict rendering of the tree, stable across runs.
+
+    Keys are `node`, then the node's fields in declaration order (`If.orelse`
+    is written `else`), then `pos` when known.
+    """
     out: dict = {"node": type(e).__name__}
-    match e:
-        case Num(literal):
-            out["literal"] = literal
-        case Bool(value):
-            out["value"] = value
-        case Unit():
-            pass
-        case Var(name) | Deref(name):
-            out["name"] = name
-        case Bop(op, lhs, rhs):
-            out |= {"op": op.value, "lhs": ast_json(lhs), "rhs": ast_json(rhs)}
-        case Let(name, annot, rhs):
-            out |= {
-                "name": name,
-                "annot": None if annot is None else pretty_type(annot),
-                "rhs": ast_json(rhs),
-            }
-        case If(cond, then, orelse):
-            out |= {"cond": ast_json(cond), "then": ast_json(then), "else": ast_json(orelse)}
-        case While(cond, body):
-            out |= {"cond": ast_json(cond), "body": ast_json(body)}
-        case For(var, start, stop, body):
-            out |= {
-                "var": var,
-                "start": ast_json(start),
-                "stop": ast_json(stop),
-                "body": ast_json(body),
-            }
-        case Seq(first, second):
-            out |= {"first": ast_json(first), "second": ast_json(second)}
-        case Func(param, annot, body):
-            out |= {"param": param, "annot": pretty_type(annot), "body": ast_json(body)}
-        case App(fn, arg):
-            out |= {"fn": ast_json(fn), "arg": ast_json(arg)}
-        case Ref(inner):
-            out["inner"] = ast_json(inner)
-        case Assign(name, rhs):
-            out |= {"name": name, "rhs": ast_json(rhs)}
+    for f in fields(e):
+        if f.name == "pos":
+            continue
+        v = getattr(e, f.name)
+        if isinstance(v, Expr):
+            v = ast_json(v)
+        elif isinstance(v, SecType):
+            v = pretty_type(v)
+        elif isinstance(v, BinOp):
+            v = v.value
+        out["else" if f.name == "orelse" else f.name] = v
     if e.pos is not None:
         out["pos"] = {"line": e.pos.line, "col": e.pos.col}
     return out

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 from .equivalence import EquivConfig, EquivStats, low_equiv, value_equiv
@@ -25,7 +27,7 @@ from .interpreter import (
     FuelExhausted,
     IntV,
     LocV,
-    Outcome,
+    Ok,
     RuntimeFault,
     State,
     Store,
@@ -65,7 +67,7 @@ from .syntax import (
     pretty,
     pretty_type,
 )
-from .typechecker import CheckError, TEnv, check, check_program
+from .typechecker import CheckError, Judgment, TEnv, check, check_program
 
 
 @dataclass(frozen=True)
@@ -117,10 +119,6 @@ _ROLE_PROG = 2
 _ROLE_STATE = 3
 _ROLE_EQUIV = 4
 _ROLE_RETRY = 64
-
-_SUITE_SALT = {"soundness": 11, "lemma1": 12, "lemma2": 13, "lemma5": 14}
-
-SUITES = ("soundness", "lemma1", "lemma2", "lemma5")
 
 
 def _derive(seed: int, salt: int) -> int:
@@ -624,142 +622,98 @@ def gen_lowequiv_states(cfg: GenConfig, tenv: TEnv) -> tuple[State, State]:
 # Trial runners ----------------------------------------------------------------
 
 
-def _both_ok(o1: Outcome, o2: Outcome) -> Discarded | None:
-    for o in (o1, o2):
+def _states_agree(j: Judgment, outs: list[Ok], finals: tuple[State, State], eq_cfg, stats):
+    return low_equiv(j.out_env, finals[0], finals[1], eq_cfg, stats)
+
+
+def _results_agree(j: Judgment, outs: list[Ok], finals: tuple[State, State], eq_cfg, stats):
+    o1, o2 = outs
+    return value_equiv(o1.value, o1.state.store, o2.value, o2.state.store, j.ty, eq_cfg, stats)
+
+
+def _low_observable(j: Judgment) -> bool:
+    t = j.ty
+    return isinstance(t, (Low, FunType)) or (isinstance(t, RefType) and isinstance(t.inner, Low))
+
+
+def _effect_free(j: Judgment) -> bool:
+    return isinstance(j.effect, (High, Empty))
+
+
+@dataclass(frozen=True)
+class _Suite:
+    """What one suite varies; `_trial` runs the steps they all share."""
+
+    salt: int  # derives the suite's per-trial seeds
+    pc: SecType
+    detail: str  # Violation text; {ty} is the program's type
+    effect_clean: bool = False
+    # (salt, predicate): draw up to 8 programs from salted seeds and keep the
+    # first whose judgment passes, else `0`. None: the trial seed's program.
+    retry: tuple[int, Callable[[Judgment], bool]] | None = None
+    runs: int = 2  # 1: run s1 only and compare it with its own final state
+    observe: Callable[..., bool] = _states_agree
+
+
+_SUITE_TABLE = {
+    # final states of two low-equivalent runs stay low-equivalent
+    "soundness": _Suite(11, LOW, "final states differ for a low observer"),
+    # results at a low-observable type agree across low-equivalent runs
+    "lemma1": _Suite(
+        12, LOW, "results differ at type {ty}", retry=(31, _low_observable), observe=_results_agree
+    ),
+    # a program typed under a high pc cannot change the low view
+    "lemma2": _Suite(13, HIGH, "high-pc program changed the low view", runs=1),
+    # a program whose effect is High or () cannot change the low view
+    "lemma5": _Suite(
+        14, LOW, "effect-free program changed the low view",
+        effect_clean=True, retry=(51, _effect_free), runs=1,
+    ),
+}
+
+SUITES = tuple(_SUITE_TABLE)
+
+
+def _choose_program(suite: _Suite, cfg: GenConfig, tenv: TEnv) -> tuple[Expr, Judgment]:
+    if suite.retry is None:
+        draws, accept = [cfg], None
+    else:
+        salt, accept = suite.retry
+        draws = (replace(cfg, rng_seed=_derive(cfg.rng_seed, salt + k)) for k in range(8))
+    for sub in draws:
+        prog = gen_welltyped(sub, tenv, suite.pc, effect_clean=suite.effect_clean)
+        j = check(tenv, suite.pc, prog)  # generator postcondition
+        if accept is None or accept(j):
+            return prog, j
+    prog = Num("0")
+    return prog, check(tenv, suite.pc, prog)
+
+
+def _trial(suite: _Suite, cfg: GenConfig) -> TrialResult:
+    """One trial: a well-typed program run from low-equivalent states must
+    leave the suite's observer unable to tell the runs apart."""
+    tenv = gen_tenv(cfg)
+    prog, j = _choose_program(suite, cfg, tenv)
+    s1, s2 = gen_lowequiv_states(cfg, tenv)
+    if suite.runs == 1:
+        s2 = s1
+    outs = [evaluate(prog, s.env, s.store, cfg.fuel) for s in (s1, s2)[: suite.runs]]
+    for o in outs:
         if isinstance(o, FuelExhausted):
             return Discarded("fuel")
         if isinstance(o, RuntimeFault):
             return Discarded("runtime")
-    return None
-
-
-def run_soundness_trial(cfg: GenConfig) -> TrialResult:
-    """One end-to-end check of the main guarantee.
-
-    A well-typed program run from two low-equivalent states must end in
-    low-equivalent states under the checker's output environment.
-    """
-    tenv = gen_tenv(cfg)
-    prog = gen_welltyped(cfg, tenv, LOW)
-    j = check(tenv, LOW, prog)  # generator postcondition
-    s1, s2 = gen_lowequiv_states(cfg, tenv)
-    o1 = evaluate(prog, s1.env, s1.store, cfg.fuel)
-    o2 = evaluate(prog, s2.env, s2.store, cfg.fuel)
-    bad = _both_ok(o1, o2)
-    if bad is not None:
-        return bad
+    finals = (outs[0].state if suite.runs == 2 else s1, outs[-1].state)
     stats = EquivStats()
     eq_cfg = EquivConfig(rng_seed=_derive(cfg.rng_seed, _ROLE_EQUIV))
-    if low_equiv(j.out_env, o1.state, o2.state, eq_cfg, stats):
+    if suite.observe(j, outs, finals, eq_cfg, stats):
         return Pass(stats.inconclusive_runs)
-    return Violation(
-        prog,
-        tenv,
-        s1,
-        s2,
-        (o1.state, o2.state),
-        cfg.rng_seed,
-        "final states differ for a low observer",
-    )
+    detail = suite.detail.format(ty=pretty_type(j.ty))
+    return Violation(prog, tenv, s1, s2, finals, cfg.rng_seed, detail)
 
 
-def _lemma1_type_ok(t: SecType) -> bool:
-    if isinstance(t, Low) or isinstance(t, FunType):
-        return True
-    return isinstance(t, RefType) and isinstance(t.inner, Low)
-
-
-def run_lemma1_trial(cfg: GenConfig) -> TrialResult:
-    """Low-typed results agree across low-equivalent runs."""
-    tenv = gen_tenv(cfg)
-    prog, j = None, None
-    for attempt in range(8):
-        sub = replace(cfg, rng_seed=_derive(cfg.rng_seed, 31 + attempt))
-        cand = gen_welltyped(sub, tenv, LOW)
-        cj = check(tenv, LOW, cand)
-        if _lemma1_type_ok(cj.ty):
-            prog, j = cand, cj
-            break
-    if prog is None:
-        prog = Num("0")
-        j = check(tenv, LOW, prog)
-    s1, s2 = gen_lowequiv_states(cfg, tenv)
-    o1 = evaluate(prog, s1.env, s1.store, cfg.fuel)
-    o2 = evaluate(prog, s2.env, s2.store, cfg.fuel)
-    bad = _both_ok(o1, o2)
-    if bad is not None:
-        return bad
-    stats = EquivStats()
-    eq_cfg = EquivConfig(rng_seed=_derive(cfg.rng_seed, _ROLE_EQUIV))
-    ok = value_equiv(
-        o1.value, o1.state.store, o2.value, o2.state.store, j.ty, eq_cfg, stats
-    )
-    if ok:
-        return Pass(stats.inconclusive_runs)
-    return Violation(
-        prog,
-        tenv,
-        s1,
-        s2,
-        (o1.state, o2.state),
-        cfg.rng_seed,
-        f"results differ at type {pretty_type(j.ty)}",
-    )
-
-
-def run_lemma2_trial(cfg: GenConfig) -> TrialResult:
-    """Programs typed under a high pc cannot change the low view of a state."""
-    tenv = gen_tenv(cfg)
-    prog = gen_welltyped(cfg, tenv, HIGH)
-    j = check(tenv, HIGH, prog)
-    s1, _ = gen_lowequiv_states(cfg, tenv)
-    o = evaluate(prog, s1.env, s1.store, cfg.fuel)
-    bad = _both_ok(o, o)
-    if bad is not None:
-        return bad
-    stats = EquivStats()
-    eq_cfg = EquivConfig(rng_seed=_derive(cfg.rng_seed, _ROLE_EQUIV))
-    if low_equiv(j.out_env, s1, o.state, eq_cfg, stats):
-        return Pass(stats.inconclusive_runs)
-    return Violation(
-        prog, tenv, s1, s1, (s1, o.state), cfg.rng_seed, "high-pc program changed the low view"
-    )
-
-
-def run_lemma5_trial(cfg: GenConfig) -> TrialResult:
-    """Programs whose effect is High or () cannot change the low view."""
-    tenv = gen_tenv(cfg)
-    prog, j = None, None
-    for attempt in range(8):
-        sub = replace(cfg, rng_seed=_derive(cfg.rng_seed, 51 + attempt))
-        cand = gen_welltyped(sub, tenv, LOW, effect_clean=True)
-        cj = check(tenv, LOW, cand)
-        if isinstance(cj.effect, (High, Empty)):
-            prog, j = cand, cj
-            break
-    if prog is None:
-        prog = Num("0")
-        j = check(tenv, LOW, prog)
-    s1, _ = gen_lowequiv_states(cfg, tenv)
-    o = evaluate(prog, s1.env, s1.store, cfg.fuel)
-    bad = _both_ok(o, o)
-    if bad is not None:
-        return bad
-    stats = EquivStats()
-    eq_cfg = EquivConfig(rng_seed=_derive(cfg.rng_seed, _ROLE_EQUIV))
-    if low_equiv(j.out_env, s1, o.state, eq_cfg, stats):
-        return Pass(stats.inconclusive_runs)
-    return Violation(
-        prog, tenv, s1, s1, (s1, o.state), cfg.rng_seed, "effect-free program changed the low view"
-    )
-
-
-_TRIAL_FNS = {
-    "soundness": run_soundness_trial,
-    "lemma1": run_lemma1_trial,
-    "lemma2": run_lemma2_trial,
-    "lemma5": run_lemma5_trial,
-}
+# Looked up on every run_suite call, so tests and tracers can swap entries.
+_TRIAL_FNS = {name: partial(_trial, suite) for name, suite in _SUITE_TABLE.items()}
 
 
 @dataclass
@@ -792,7 +746,8 @@ class SuiteReport:
         return (
             f"suite {self.suite}: trials={self.trials} pass={self.passes}"
             f" discard={self.discarded} (fuel={self.discarded_fuel},"
-            f" runtime={self.discarded_runtime}) violations={len(self.violations)}"
+            f" runtime={self.discarded_runtime}) inconclusive={self.equiv_inconclusive}"
+            f" violations={len(self.violations)}"
         )
 
 
@@ -801,7 +756,7 @@ def run_suite(suite: str, cfg: GenConfig, trials: int | None = None) -> SuiteRep
     fn = _TRIAL_FNS[suite]
     if trials is None:
         trials = cfg.trials
-    base = _derive(cfg.rng_seed, _SUITE_SALT[suite])
+    base = _derive(cfg.rng_seed, _SUITE_TABLE[suite].salt)
     report = SuiteReport(suite, trials)
     for i in range(trials):
         tcfg = replace(cfg, rng_seed=_derive(base, i + 1))

@@ -368,7 +368,6 @@ def run_program(e: Expr, fuel: int) -> Outcome:
 
 
 __all__ = [
-    "App",
     "BoolV",
     "ClosV",
     "Env",

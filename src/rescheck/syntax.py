@@ -98,36 +98,32 @@ def well_formed(t: SecType) -> bool:
             return False
 
 
-def pretty_type(t: SecType) -> str:
-    """Surface syntax of a type, re-parseable by parser.parse_type."""
+def _type_text(t: SecType, low: str, high: str) -> str:
     match t:
         case Low():
-            return "low"
+            return low
         case High():
-            return "high"
+            return high
         case Empty():
             return "()"
         case RefType(inner):
-            return f"ref {pretty_type(inner)}"
+            return f"ref {_type_text(inner, low, high)}"
         case FunType(param, result, latent):
-            return f"({pretty_type(param)} -> {pretty_type(result)} @ {pretty_type(latent)})"
+            return (
+                f"({_type_text(param, low, high)} -> {_type_text(result, low, high)}"
+                f" @ {_type_text(latent, low, high)})"
+            )
     raise TypeError(f"not a SecType: {t!r}")
+
+
+def pretty_type(t: SecType) -> str:
+    """Surface syntax of a type, re-parseable by parser.parse_type."""
+    return _type_text(t, "low", "high")
 
 
 def display_type(t: SecType) -> str:
     """Capitalised rendering used in diagnostics, e.g. 'Low' or 'ref High'."""
-    match t:
-        case Low():
-            return "Low"
-        case High():
-            return "High"
-        case Empty():
-            return "()"
-        case RefType(inner):
-            return f"ref {display_type(inner)}"
-        case FunType(param, result, latent):
-            return f"({display_type(param)} -> {display_type(result)} @ {display_type(latent)})"
-    raise TypeError(f"not a SecType: {t!r}")
+    return _type_text(t, "Low", "High")
 
 
 # ---------------------------------------------------------------------------

@@ -267,39 +267,30 @@ class _Checker:
         raise TypeError(f"not an Expr: {e!r}")
 
 
+_RULE_NAMES = {
+    Num: "Num",
+    Bool: "Bool",
+    Unit: "Unit",
+    Var: "Var",
+    Bop: "Bop",
+    Let: "Let",  # refined to Let-n / Let-Base* once dispatched
+    If: "If-Else",
+    While: "While",
+    For: "For",
+    Seq: "Seq",
+    Func: "Func",
+    App: "App",
+    Ref: "Ref",
+    Deref: "Deref",
+    Assign: "Reassign",
+}
+
+
 def _rule_name(e: Expr) -> str:
-    match e:
-        case Num():
-            return "Num"
-        case Bool():
-            return "Bool"
-        case Unit():
-            return "Unit"
-        case Var():
-            return "Var"
-        case Bop():
-            return "Bop"
-        case Let():
-            return "Let"  # refined to Let-n / Let-Base* once dispatched
-        case If():
-            return "If-Else"
-        case While():
-            return "While"
-        case For():
-            return "For"
-        case Seq():
-            return "Seq"
-        case Func():
-            return "Func"
-        case App():
-            return "App"
-        case Ref():
-            return "Ref"
-        case Deref():
-            return "Deref"
-        case Assign():
-            return "Reassign"
-    raise TypeError(f"not an Expr: {e!r}")
+    try:
+        return _RULE_NAMES[type(e)]
+    except KeyError:
+        raise TypeError(f"not an Expr: {e!r}") from None
 
 
 def _validate_inputs(env: TEnv, pc: SecType) -> None:

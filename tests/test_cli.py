@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +158,32 @@ class TestAstJson:
         out = ast_json(parse("let x = 1"))
         assert out["annot"] is None
 
+    def test_exact_tree_with_key_order(self):
+        def at(line, col):
+            return {"line": line, "col": col}
+
+        want = {
+            "node": "If",
+            "cond": {"node": "Var", "name": "b", "pos": at(1, 4)},
+            "then": {
+                "node": "Bop",
+                "op": "+",
+                "lhs": {"node": "Num", "literal": "1", "pos": at(1, 8)},
+                "rhs": {"node": "Num", "literal": "2", "pos": at(1, 12)},
+                "pos": at(1, 8),
+            },
+            "else": {
+                "node": "Func",
+                "param": "x",
+                "annot": "low",
+                "body": {"node": "Var", "name": "x", "pos": at(1, 35)},
+                "pos": at(1, 23),
+            },
+            "pos": at(1, 1),
+        }
+        out = ast_json(parse("if b { 1 + 2 } else { (x: low) => x }"))
+        assert json.dumps(out) == json.dumps(want)  # dict order included
+
 
 class TestNitest:
     def test_zero_trials_pass(self, capsys):
@@ -212,6 +239,14 @@ class TestNitest:
         code = main(["nitest", "--trials", "0", "--corpus", str(tmp_path)])
         assert code == EXIT_VIOLATION
         assert "VIOLATIONS FOUND" in capsys.readouterr().out
+
+    def test_readme_example_is_current(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        cmd = "$ rescheck nitest --trials 50 --seed 7\n"
+        start = readme.index(cmd) + len(cmd)
+        shown = readme[start : readme.index("```", start)]
+        assert main(["nitest", "--trials", "50", "--seed", "7"]) == EXIT_OK
+        assert capsys.readouterr().out == shown
 
     def test_fuel_is_forwarded(self, capsys):
         assert main(["nitest", "--trials", "1", "--fuel", "3", "--json"]) == EXIT_OK

@@ -25,10 +25,12 @@ from rescheck import (
     gen_tenv,
     gen_welltyped,
     low_equiv,
+    pretty_type,
     run_corpus,
     run_suite,
     well_formed,
 )
+from rescheck import harness
 from rescheck.harness import SUITES, _TRIAL_FNS
 from rescheck.syntax import Empty, High, Num
 
@@ -200,6 +202,80 @@ class TestSuites:
     def test_unknown_suite_rejected(self):
         with pytest.raises(KeyError):
             run_suite("nonsense", GenConfig())
+
+
+class TestSuiteObservers:
+    """With the equivalence checks forced to fail, each suite's Violation
+    shows which observer it consulted, what it compared and what it says."""
+
+    DETAILS = {
+        "soundness": "final states differ for a low observer",
+        "lemma2": "high-pc program changed the low view",
+        "lemma5": "effect-free program changed the low view",
+    }
+
+    @pytest.fixture
+    def failing(self, monkeypatch):
+        seen = {"observer": [], "outcomes": []}
+        real_low_equiv, real_evaluate = harness.low_equiv, harness.evaluate
+
+        def low_equiv(tenv, a, b, cfg=None, stats=None):
+            if stats is None:  # gen_lowequiv_states checking its own output
+                return real_low_equiv(tenv, a, b, cfg)
+            seen["observer"].append(("low_equiv", a, b))
+            return False
+
+        def value_equiv(v1, st1, v2, st2, t, cfg=None, stats=None):
+            seen["observer"].append(("value_equiv", st1, st2))
+            return False
+
+        def evaluate(*args):
+            out = real_evaluate(*args)
+            seen["outcomes"].append(out)
+            return out
+
+        monkeypatch.setattr(harness, "low_equiv", low_equiv)
+        monkeypatch.setattr(harness, "value_equiv", value_equiv)
+        monkeypatch.setattr(harness, "evaluate", evaluate)
+        return seen
+
+    def first_violation(self, suite, seen):
+        for seed in range(20):
+            seen["observer"].clear()
+            seen["outcomes"].clear()
+            result = _TRIAL_FNS[suite](GenConfig(rng_seed=seed))
+            if isinstance(result, Violation):
+                assert len(seen["observer"]) == 1
+                return result, seen["observer"][0], seen["outcomes"]
+        pytest.fail(f"no {suite} trial reached its observer")
+
+    def test_soundness_compares_both_final_states(self, failing):
+        v, (observer, a, b), outs = self.first_violation("soundness", failing)
+        assert observer == "low_equiv"
+        assert v.detail == self.DETAILS["soundness"]
+        assert v.s1 is not v.s2
+        assert len(outs) == 2
+        assert v.finals[0] is outs[0].state and v.finals[1] is outs[1].state
+        assert a is v.finals[0] and b is v.finals[1]
+
+    def test_lemma1_compares_results_at_the_program_type(self, failing):
+        v, (observer, st1, st2), outs = self.first_violation("lemma1", failing)
+        assert observer == "value_equiv"
+        ty = check(v.tenv, LOW, v.program).ty
+        assert v.detail == f"results differ at type {pretty_type(ty)}"
+        assert len(outs) == 2
+        assert v.finals[0] is outs[0].state and v.finals[1] is outs[1].state
+        assert st1 is outs[0].state.store and st2 is outs[1].state.store
+
+    @pytest.mark.parametrize("suite", ["lemma2", "lemma5"])
+    def test_one_run_suites_compare_s1_with_its_final_state(self, suite, failing):
+        v, (observer, a, b), outs = self.first_violation(suite, failing)
+        assert observer == "low_equiv"
+        assert v.detail == self.DETAILS[suite]
+        assert v.s1 is v.s2
+        assert len(outs) == 1
+        assert v.finals[0] is v.s1 and v.finals[1] is outs[0].state
+        assert a is v.finals[0] and b is v.finals[1]
 
 
 class TestViolationReporting:

@@ -75,6 +75,12 @@ class TestOperators:
         with pytest.raises(ParseError):
             parse("1 == 2 == 3")
 
+    def test_not_equal_is_not_an_operator(self):
+        with pytest.raises(ParseError) as exc:
+            parse("a != 2")
+        assert (exc.value.line, exc.value.col) == (1, 4)
+        assert exc.value.message == "expected 'ident' but found '='"
+
     def test_comparison_over_arithmetic(self):
         assert parse("1 + 2 == 3") == Bop(
             BinOp.EQ, Bop(BinOp.ADD, Num("1"), Num("2")), Num("3")
