@@ -111,7 +111,7 @@ def _gen_related(
                 LocV(s2.alloc(IntV(rng.randint(-8, 8)))),
             )
         case FunType():
-            c = _canonical_closure(t)
+            c = canonical_closure(t)
             if c is None:
                 raise _Unsupported
             return c, c
@@ -119,20 +119,25 @@ def _gen_related(
             raise _Unsupported
 
 
-def _canonical_closure(t: FunType) -> ClosV | None:
-    """A closed, well-typed inhabitant of t, if one is easy to build."""
-    from .syntax import Bop, BinOp, Num, Var  # local import keeps startup light
+def canonical_closure(t: FunType) -> ClosV | None:
+    """A closed, well-typed inhabitant of t, if one is easy to build:
+    the identity when the result type is the parameter type, else a
+    constant `0` when the result is Low."""
+    from .syntax import Num, Var  # local import keeps startup light
 
     if not isinstance(t.latent, Empty):
         return None
-    x = Var("x")
     if t.result == t.param:
-        return ClosV(x, "x", {})
+        return ClosV(Var("x"), "x", {})
     if isinstance(t.result, Low):
         return ClosV(Num("0"), "x", {})
-    if isinstance(t.result, High) and isinstance(t.param, High):
-        return ClosV(Bop(BinOp.ADD, x, Num("1")), "x", {})
     return None
+
+
+def low_observable(t: SecType) -> bool:
+    """Whether a low observer can see a value of type t: Low, ref Low or a
+    function."""
+    return isinstance(t, (Low, FunType)) or (isinstance(t, RefType) and isinstance(t.inner, Low))
 
 
 class _Equiv:
@@ -225,12 +230,7 @@ def low_equiv(
     cfg = cfg if cfg is not None else EquivConfig()
     eq = _Equiv(cfg, stats)
     for name, t in tenv.items():
-        constrained = (
-            isinstance(t, Low)
-            or (isinstance(t, RefType) and isinstance(t.inner, Low))
-            or isinstance(t, FunType)
-        )
-        if not constrained:
+        if not low_observable(t):
             continue
         if name not in s1.env or name not in s2.env:
             return False

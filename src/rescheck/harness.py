@@ -2,7 +2,8 @@
 
 The generators build programs by inverting the typing rules: every
 construction site only emits a form whose side conditions hold in the
-current context, and the finished program is re-checked as a postcondition.
+current context. Each trial checks its program once; that check is the
+generator's postcondition, and a `CheckError` from it is a generator bug.
 Alongside the security level of each binding the generator tracks a runtime
 shape (int, bool, unit, ref or function), which the type system itself does
 not, so that generated programs do not get stuck on shape errors.
@@ -20,7 +21,14 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
-from .equivalence import EquivConfig, EquivStats, low_equiv, value_equiv
+from .equivalence import (
+    EquivConfig,
+    EquivStats,
+    canonical_closure,
+    low_equiv,
+    low_observable,
+    value_equiv,
+)
 from .interpreter import (
     BoolV,
     ClosV,
@@ -34,6 +42,7 @@ from .interpreter import (
     UnitV,
     Value,
     evaluate,
+    pretty_value,
 )
 from .lattice import join, leq, meet
 from .parser import ParseError, parse
@@ -73,11 +82,13 @@ from .typechecker import CheckError, Judgment, TEnv, check, check_program
 @dataclass(frozen=True)
 class GenConfig:
     rng_seed: int = 0
-    max_depth: int = 5
-    max_for_span: int = 4
-    int_range: tuple[int, int] = (-8, 8)
     fuel: int = 10000
     trials: int = 200
+
+
+MAX_DEPTH = 5  # statement and expression nesting of generated programs
+MAX_FOR_SPAN = 4  # most iterations of a generated for or counter loop
+INT_RANGE = (-8, 8)  # generated int literals and state values
 
 
 # Trial outcomes ------------------------------------------------------------
@@ -118,7 +129,6 @@ _ROLE_TENV = 1
 _ROLE_PROG = 2
 _ROLE_STATE = 3
 _ROLE_EQUIV = 4
-_ROLE_RETRY = 64
 
 
 def _derive(seed: int, salt: int) -> int:
@@ -160,9 +170,8 @@ _BOTH = (LOW, HIGH)
 
 
 class _Gen:
-    def __init__(self, rng: random.Random, cfg: GenConfig, effect_clean: bool = False):
+    def __init__(self, rng: random.Random, effect_clean: bool = False):
         self.rng = rng
-        self.cfg = cfg
         self.effect_clean = effect_clean
         self.counter = 10  # generated names stay clear of tenv indices
 
@@ -173,7 +182,7 @@ class _Gen:
 
     def literal(self, kind) -> Expr:
         if kind == "int":
-            return Num(str(self.rng.randint(*self.cfg.int_range)))
+            return Num(str(self.rng.randint(*INT_RANGE)))
         if kind == "bool":
             return Bool(self.rng.random() < 0.5)
         return Unit()
@@ -469,7 +478,7 @@ class _Gen:
             init_e, level, _ = init
         else:
             level = LOW
-            init_e = Num(str(self.rng.randint(1, self.cfg.max_for_span)))
+            init_e = Num(str(self.rng.randint(1, MAX_FOR_SPAN)))
         name = self.fresh("ri")
         pc2 = join([pc, level])
         # the body is generated without the counter in view, so nothing can
@@ -502,7 +511,7 @@ class _Gen:
 
     def _stmt_for(self, ctx, pc, depth):
         a = self.rng.randint(-2, 2)
-        b = a + self.rng.randint(0, self.cfg.max_for_span)
+        b = a + self.rng.randint(0, MAX_FOR_SPAN)
         var = self.fresh("i")
         body_ctx = dict(ctx)
         body_ctx[var] = (pc, "int")  # bounds are literals, so pc2 == pc
@@ -537,49 +546,22 @@ def gen_tenv(cfg: GenConfig) -> TEnv:
 
 
 def gen_welltyped(cfg: GenConfig, tenv: TEnv, pc: SecType, effect_clean: bool = False) -> Expr:
-    """A program that passes the checker under (tenv, pc).
+    """A program meant to pass the checker under (tenv, pc).
 
-    Construction aims to satisfy every side condition outright; the checker
-    is still consulted, and rare misses retry with a derived seed before
-    falling back to a literal.
+    Construction satisfies every side condition outright, so the program is
+    not checked here; the trial that uses it checks it once, and a rejection
+    there is a generator bug.
     """
-    ctx = _ctx_from_tenv(tenv)
-    for attempt in range(8):
-        seed = _derive(cfg.rng_seed, _ROLE_PROG + attempt * _ROLE_RETRY)
-        g = _Gen(random.Random(seed), cfg, effect_clean=effect_clean)
-        prog = g.gen_program(dict(ctx), pc, cfg.max_depth)
-        try:
-            check(tenv, pc, prog)
-            return prog
-        except CheckError:
-            continue
-    return Num("0")
+    g = _Gen(random.Random(_derive(cfg.rng_seed, _ROLE_PROG)), effect_clean=effect_clean)
+    return g.gen_program(_ctx_from_tenv(tenv), pc, MAX_DEPTH)
 
 
-def _rand_base_value(kind, rng: random.Random, int_range) -> Value:
+def _rand_base_value(kind, rng: random.Random) -> Value:
     if kind == "int":
-        return IntV(rng.randint(*int_range))
+        return IntV(rng.randint(*INT_RANGE))
     if kind == "bool":
         return BoolV(rng.random() < 0.5)
     return UnitV()
-
-
-def _state_closure(t: FunType, rng: random.Random) -> ClosV:
-    """A closed lambda inhabiting t, verified against the checker."""
-    x = Var("x")
-    candidates: list[Expr] = []
-    if t.result == t.param and isinstance(t.latent, Empty):
-        c = Num(str(rng.randint(1, 4)))
-        candidates = [x, Bop(BinOp.ADD, x, c), Bop(BinOp.MUL, x, c), Bop(BinOp.SUB, x, c)]
-    for body in candidates:
-        try:
-            j = check({}, LOW, Func("x", t.param, body))
-        except CheckError:
-            continue
-        if j.ty == t:
-            return ClosV(body, "x", {})
-    # constant result: observationally safe whatever t promises
-    return ClosV(Num("0"), "x", {})
 
 
 def gen_lowequiv_states(cfg: GenConfig, tenv: TEnv) -> tuple[State, State]:
@@ -597,19 +579,20 @@ def gen_lowequiv_states(cfg: GenConfig, tenv: TEnv) -> tuple[State, State]:
         kind = _kind_from_name(name, t)
         match t:
             case Low():
-                v = _rand_base_value(kind, rng, cfg.int_range)
+                v = _rand_base_value(kind, rng)
                 env1[name] = env2[name] = v
             case High():
-                env1[name] = _rand_base_value(kind, rng, cfg.int_range)
-                env2[name] = _rand_base_value(kind, rng, cfg.int_range)
+                env1[name] = _rand_base_value(kind, rng)
+                env2[name] = _rand_base_value(kind, rng)
             case RefType(inner):
                 pointee = kind[1] if isinstance(kind, tuple) else "int"
-                v1 = _rand_base_value(pointee, rng, cfg.int_range)
-                v2 = v1 if isinstance(inner, Low) else _rand_base_value(pointee, rng, cfg.int_range)
+                v1 = _rand_base_value(pointee, rng)
+                v2 = v1 if isinstance(inner, Low) else _rand_base_value(pointee, rng)
                 env1[name] = LocV(st1.alloc(v1))
                 env2[name] = LocV(st2.alloc(v2))
             case FunType():
-                clos = _state_closure(t, rng)
+                # a constant result is observationally safe whatever t promises
+                clos = canonical_closure(t) or ClosV(Num("0"), "x", {})
                 env1[name] = env2[name] = clos
             case _:
                 env1[name] = env2[name] = UnitV()
@@ -629,11 +612,6 @@ def _states_agree(j: Judgment, outs: list[Ok], finals: tuple[State, State], eq_c
 def _results_agree(j: Judgment, outs: list[Ok], finals: tuple[State, State], eq_cfg, stats):
     o1, o2 = outs
     return value_equiv(o1.value, o1.state.store, o2.value, o2.state.store, j.ty, eq_cfg, stats)
-
-
-def _low_observable(j: Judgment) -> bool:
-    t = j.ty
-    return isinstance(t, (Low, FunType)) or (isinstance(t, RefType) and isinstance(t.inner, Low))
 
 
 def _effect_free(j: Judgment) -> bool:
@@ -660,7 +638,8 @@ _SUITE_TABLE = {
     "soundness": _Suite(11, LOW, "final states differ for a low observer"),
     # results at a low-observable type agree across low-equivalent runs
     "lemma1": _Suite(
-        12, LOW, "results differ at type {ty}", retry=(31, _low_observable), observe=_results_agree
+        12, LOW, "results differ at type {ty}",
+        retry=(31, lambda j: low_observable(j.ty)), observe=_results_agree,
     ),
     # a program typed under a high pc cannot change the low view
     "lemma2": _Suite(13, HIGH, "high-pc program changed the low view", runs=1),
@@ -675,6 +654,9 @@ SUITES = tuple(_SUITE_TABLE)
 
 
 def _choose_program(suite: _Suite, cfg: GenConfig, tenv: TEnv) -> tuple[Expr, Judgment]:
+    """The trial's program and its judgment, from the only checker call on
+    the trial path. It is the generator's postcondition: a `CheckError`
+    propagates as a generator bug."""
     if suite.retry is None:
         draws, accept = [cfg], None
     else:
@@ -682,7 +664,7 @@ def _choose_program(suite: _Suite, cfg: GenConfig, tenv: TEnv) -> tuple[Expr, Ju
         draws = (replace(cfg, rng_seed=_derive(cfg.rng_seed, salt + k)) for k in range(8))
     for sub in draws:
         prog = gen_welltyped(sub, tenv, suite.pc, effect_clean=suite.effect_clean)
-        j = check(tenv, suite.pc, prog)  # generator postcondition
+        j = check(tenv, suite.pc, prog)
         if accept is None or accept(j):
             return prog, j
     prog = Num("0")
@@ -751,6 +733,13 @@ class SuiteReport:
         )
 
 
+def _state_json(s: State) -> dict:
+    return {
+        "env": {name: pretty_value(v) for name, v in s.env.items()},
+        "store": {str(loc): pretty_value(s.store.data[loc]) for loc in sorted(s.store.data)},
+    }
+
+
 def run_suite(suite: str, cfg: GenConfig, trials: int | None = None) -> SuiteReport:
     """Run independent trials of one suite with per-trial derived seeds."""
     fn = _TRIAL_FNS[suite]
@@ -769,7 +758,7 @@ def run_suite(suite: str, cfg: GenConfig, trials: int | None = None) -> SuiteRep
                 report.discarded_fuel += 1
             case Discarded(_):
                 report.discarded_runtime += 1
-            case Violation(program=program, tenv=tenv, seed=seed, detail=detail):
+            case Violation(program=program, tenv=tenv, s1=s1, s2=s2, seed=seed, detail=detail):
                 if len(report.violations) < 5:
                     report.violations.append(
                         {
@@ -778,6 +767,8 @@ def run_suite(suite: str, cfg: GenConfig, trials: int | None = None) -> SuiteRep
                             "detail": detail,
                             "tenv": {k: pretty_type(t) for k, t in tenv.items()},
                             "program": pretty(program),
+                            "s1": _state_json(s1),
+                            "s2": _state_json(s2),
                         }
                     )
                 else:

@@ -378,12 +378,7 @@ class _Parser:
                 body = self.parse_block()
                 return For(var, start, stop, body, pos=p)
             case "{":
-                self.advance()
-                self.skip_separators()
-                e = self.parse_seq(stop=("}",))
-                self.skip_separators()
-                self.expect("}")
-                return e
+                return self.parse_block()
             case "(":
                 self.advance()
                 if self.peek().kind == ")":

@@ -278,6 +278,68 @@ class TestSuiteObservers:
         assert a is v.finals[0] and b is v.finals[1]
 
 
+class TestCheckerCalls:
+    """A trial checks each program it draws exactly once, and the generators
+    never call the checker themselves."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = {"checked": [], "drawn": []}
+        real_check, real_gen = harness.check, harness.gen_welltyped
+
+        def check(tenv, pc, e):
+            seen["checked"].append(e)
+            return real_check(tenv, pc, e)
+
+        def gen_welltyped(*args, **kwargs):
+            seen["drawn"].append(real_gen(*args, **kwargs))
+            return seen["drawn"][-1]
+
+        monkeypatch.setattr(harness, "check", check)
+        monkeypatch.setattr(harness, "gen_welltyped", gen_welltyped)
+        return seen
+
+    def test_generators_make_no_checker_calls(self, calls):
+        for seed in range(40):
+            cfg = GenConfig(rng_seed=seed)
+            tenv = gen_tenv(cfg)
+            for pc, clean in ((LOW, False), (HIGH, False), (LOW, True)):
+                gen_welltyped(cfg, tenv, pc, effect_clean=clean)
+            gen_lowequiv_states(cfg, tenv)
+        assert calls["checked"] == []
+
+    @pytest.mark.parametrize("suite", ["soundness", "lemma2"])
+    def test_single_draw_suites_check_once_per_trial(self, suite, calls):
+        for seed in range(40):
+            calls["checked"].clear()
+            calls["drawn"].clear()
+            _TRIAL_FNS[suite](GenConfig(rng_seed=seed))
+            assert len(calls["drawn"]) == 1
+            assert len(calls["checked"]) == 1
+            assert calls["checked"][0] is calls["drawn"][0]
+
+    # lemma1 seed 753 rejects all eight draws and falls back to `0`
+    @pytest.mark.parametrize("suite, seeds", [
+        ("lemma1", [*range(40), 753]),
+        ("lemma5", range(40)),
+    ])
+    def test_retry_suites_check_once_per_drawn_program(self, suite, seeds, calls):
+        fallbacks = 0
+        for seed in seeds:
+            calls["checked"].clear()
+            calls["drawn"].clear()
+            _TRIAL_FNS[suite](GenConfig(rng_seed=seed))
+            checked, drawn = calls["checked"], calls["drawn"]
+            assert 1 <= len(drawn) <= 8
+            assert all(c is d for c, d in zip(checked, drawn))
+            if len(checked) == len(drawn) + 1:  # every draw rejected
+                assert len(drawn) == 8 and checked[-1] == Num("0")
+                fallbacks += 1
+            else:
+                assert len(checked) == len(drawn)
+        assert fallbacks == (suite == "lemma1")
+
+
 class TestViolationReporting:
     def test_details_captured_for_the_first_five(self, monkeypatch):
         def always_violates(cfg):
@@ -295,6 +357,35 @@ class TestViolationReporting:
         assert len(full) == 5
         assert all(v["detail"] == "synthetic" for v in report.violations)
         assert report.to_json()["violations"] == 8
+
+    def test_reports_carry_both_initial_states(self, monkeypatch):
+        s1 = State(
+            {"i0": IntV(3), "b1": BoolV(True), "ri2": LocV(4), "ri3": LocV(1)},
+            Store({4: IntV(-2), 1: BoolV(False)}),
+        )
+        s2 = State(
+            {"i0": IntV(3), "b1": BoolV(False), "ri2": LocV(4), "ri3": LocV(1)},
+            Store({4: IntV(7), 1: BoolV(False)}),
+        )
+
+        def violates(cfg):
+            return Violation(Num("0"), {}, s1, s2, (s1, s2), cfg.rng_seed, "synthetic")
+
+        monkeypatch.setitem(_TRIAL_FNS, "soundness", violates)
+        report = run_suite("soundness", GenConfig(rng_seed=0), trials=6)
+        full, brief = report.violations[:5], report.violations[5]
+        for v in full:
+            assert v["s1"] == {
+                "env": {"i0": "3", "b1": "true", "ri2": "ℓ4", "ri3": "ℓ1"},
+                "store": {"1": "false", "4": "-2"},
+            }
+            assert v["s2"] == {
+                "env": {"i0": "3", "b1": "false", "ri2": "ℓ4", "ri3": "ℓ1"},
+                "store": {"1": "false", "4": "7"},
+            }
+            assert list(v["s1"]["store"]) == ["1", "4"]
+        assert "s1" not in brief and "s2" not in brief
+        assert json.loads(json.dumps(report.to_json()))["violation_details"][0]["s2"] == full[0]["s2"]
 
     def test_trial_results_expose_reproduction_data(self):
         v = Violation(
