@@ -646,7 +646,7 @@ _SUITE_TABLE = {
     # a program whose effect is High or () cannot change the low view
     "lemma5": _Suite(
         14, LOW, "effect-free program changed the low view",
-        effect_clean=True, retry=(51, _effect_free), runs=1,
+        effect_clean=True, runs=1,
     ),
 }
 
@@ -655,8 +655,8 @@ SUITES = tuple(_SUITE_TABLE)
 
 def _choose_program(suite: _Suite, cfg: GenConfig, tenv: TEnv) -> tuple[Expr, Judgment]:
     """The trial's program and its judgment, from the only checker call on
-    the trial path. It is the generator's postcondition: a `CheckError`
-    propagates as a generator bug."""
+    the trial path. It is the generator's postcondition: a `CheckError`, or
+    a Low effect from an effect-clean draw, is a generator bug."""
     if suite.retry is None:
         draws, accept = [cfg], None
     else:
@@ -665,6 +665,7 @@ def _choose_program(suite: _Suite, cfg: GenConfig, tenv: TEnv) -> tuple[Expr, Ju
     for sub in draws:
         prog = gen_welltyped(sub, tenv, suite.pc, effect_clean=suite.effect_clean)
         j = check(tenv, suite.pc, prog)
+        assert not suite.effect_clean or _effect_free(j), "effect-clean program has a Low effect"
         if accept is None or accept(j):
             return prog, j
     prog = Num("0")

@@ -293,14 +293,19 @@ def _prec(e: Expr) -> int:
             return _ATOM
 
 
-def _fmt(e: Expr, level: int) -> str:
-    text = _render(e)
+def _fmt(e: Expr, level: int, memo: dict[int, str] | None) -> str:
+    if memo is None:
+        text = _render(e, None)
+    else:
+        text = memo.get(id(e))
+        if text is None:
+            text = memo[id(e)] = _render(e, memo)
     if _prec(e) < level:
         return f"({text})"
     return text
 
 
-def _render(e: Expr) -> str:
+def _render(e: Expr, memo: dict[int, str] | None) -> str:
     match e:
         case Num(literal):
             return literal
@@ -312,47 +317,53 @@ def _render(e: Expr) -> str:
             return name
         case Bop(op, lhs, rhs):
             if op in _CMP_OPS:
-                return f"{_fmt(lhs, _ADD)} {op.value} {_fmt(rhs, _ADD)}"
+                return f"{_fmt(lhs, _ADD, memo)} {op.value} {_fmt(rhs, _ADD, memo)}"
             if op in _ADD_OPS:
-                return f"{_fmt(lhs, _ADD)} {op.value} {_fmt(rhs, _MUL)}"
-            return f"{_fmt(lhs, _MUL)} {op.value} {_fmt(rhs, _UNARY)}"
+                return f"{_fmt(lhs, _ADD, memo)} {op.value} {_fmt(rhs, _MUL, memo)}"
+            return f"{_fmt(lhs, _MUL, memo)} {op.value} {_fmt(rhs, _UNARY, memo)}"
         case Let(name, annot, rhs):
             if annot is None:
-                return f"let {name} = {_fmt(rhs, _STMT)}"
-            return f"let {name}: {pretty_type(annot)} = {_fmt(rhs, _STMT)}"
+                return f"let {name} = {_fmt(rhs, _STMT, memo)}"
+            return f"let {name}: {pretty_type(annot)} = {_fmt(rhs, _STMT, memo)}"
         case If(cond, then, orelse):
             return (
-                f"if {_fmt(cond, _CMP)} {{ {_fmt(then, _SEQ)} }}"
-                f" else {{ {_fmt(orelse, _SEQ)} }}"
+                f"if {_fmt(cond, _CMP, memo)} {{ {_fmt(then, _SEQ, memo)} }}"
+                f" else {{ {_fmt(orelse, _SEQ, memo)} }}"
             )
         case While(cond, body):
-            return f"while {_fmt(cond, _CMP)} {{ {_fmt(body, _SEQ)} }}"
+            return f"while {_fmt(cond, _CMP, memo)} {{ {_fmt(body, _SEQ, memo)} }}"
         case For(var, start, stop, body):
             return (
-                f"for {var} in {_fmt(start, _CMP)} to {_fmt(stop, _CMP)}"
-                f" {{ {_fmt(body, _SEQ)} }}"
+                f"for {var} in {_fmt(start, _CMP, memo)} to {_fmt(stop, _CMP, memo)}"
+                f" {{ {_fmt(body, _SEQ, memo)} }}"
             )
         case Seq(first, second):
-            return f"{_fmt(first, _STMT)}; {_fmt(second, _SEQ)}"
+            return f"{_fmt(first, _STMT, memo)}; {_fmt(second, _SEQ, memo)}"
         case Func(param, annot, body):
-            return f"({param}: {pretty_type(annot)}) => {_fmt(body, _STMT)}"
+            return f"({param}: {pretty_type(annot)}) => {_fmt(body, _STMT, memo)}"
         case App(fn, arg):
-            return f"{_fmt(fn, _APP)} {_fmt(arg, _ATOM)}"
+            return f"{_fmt(fn, _APP, memo)} {_fmt(arg, _ATOM, memo)}"
         case Ref(inner):
-            return f"ref({_fmt(inner, _SEQ)})"
+            return f"ref({_fmt(inner, _SEQ, memo)})"
         case Deref(name):
             return f"!{name}"
         case Assign(name, rhs):
-            return f"{name} := {_fmt(rhs, _STMT)}"
+            return f"{name} := {_fmt(rhs, _STMT, memo)}"
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def pretty(e: Expr) -> str:
+def pretty(e: Expr, memo: dict[int, str] | None = None) -> str:
     """Render an expression as parseable source.
 
     Top-level sequences print one statement per line; nested sequences use
     semicolons. parse(pretty(e)) reconstructs e exactly (positions aside).
+
+    `memo` lets a caller that renders many subtrees of one tree, such as the
+    type checker writing a trace frame for every node, render each node only
+    once. It maps `id(node)` to the node's text, so one memo must serve one
+    tree that stays alive for as long as the memo is used (one check).
+    Without it, every call renders its whole subtree afresh.
     """
     if isinstance(e, Seq):
-        return _fmt(e.first, _STMT) + "\n" + pretty(e.second)
-    return _fmt(e, _STMT)
+        return _fmt(e.first, _STMT, memo) + "\n" + pretty(e.second, memo)
+    return _fmt(e, _STMT, memo)

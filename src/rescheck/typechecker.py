@@ -91,6 +91,7 @@ class _Checker:
     def __init__(self) -> None:
         self.log: list[TraceFrame] = []
         self.stack: list[TraceFrame] = []
+        self.text: dict[int, str] = {}  # pretty's memo: each node's text, by id, for this check
 
     def fail(self, rule: str, condition: str, e: Expr) -> None:
         frame = self.stack[-1]
@@ -100,7 +101,7 @@ class _Checker:
         raise CheckError(rule, condition, e.pos, path)
 
     def check(self, env: TEnv, pc: SecType, e: Expr) -> Judgment:
-        frame = TraceFrame(_rule_name(e), pretty(e))
+        frame = TraceFrame(_rule_name(e), pretty(e, self.text))
         self.log.append(frame)
         self.stack.append(frame)
         try:
