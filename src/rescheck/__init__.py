@@ -15,6 +15,7 @@ from .equivalence import EquivConfig, EquivStats, low_equiv, value_equiv
 from .interpreter import (
     BoolV,
     ClosV,
+    DepthExceeded,
     FaultKind,
     FuelExhausted,
     IntV,

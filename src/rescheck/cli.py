@@ -16,7 +16,7 @@ from dataclasses import fields
 
 from .harness import GenConfig, SUITES, run_corpus, run_suite
 from .interpreter import (
-    FuelExhausted,
+    DepthExceeded,
     Ok,
     RuntimeFault,
     pretty_value,
@@ -33,6 +33,7 @@ EXIT_IO_ERROR = 3
 EXIT_RUNTIME_FAULT = 4
 EXIT_FUEL_EXHAUSTED = 5
 EXIT_VIOLATION = 6
+EXIT_DEPTH_EXCEEDED = 7
 
 DEFAULT_FUEL = 10000
 
@@ -150,6 +151,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             where = f" at {at.line}:{at.col}" if at else ""
             print(f"{args.file}: runtime fault: {kind.value}{where}", file=sys.stderr)
             return EXIT_RUNTIME_FAULT
+        case DepthExceeded(limit):
+            print(f"{args.file}: nesting too deep (limit {limit})", file=sys.stderr)
+            return EXIT_DEPTH_EXCEEDED
         case _:
             print(f"{args.file}: fuel exhausted after {args.fuel} steps", file=sys.stderr)
             return EXIT_FUEL_EXHAUSTED

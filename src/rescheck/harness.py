@@ -32,6 +32,7 @@ from .equivalence import (
 from .interpreter import (
     BoolV,
     ClosV,
+    DepthExceeded,
     FuelExhausted,
     IntV,
     LocV,
@@ -101,7 +102,7 @@ class Pass:
 
 @dataclass
 class Discarded:
-    reason: str  # "fuel" or "runtime"
+    reason: str  # "fuel", "runtime" or "depth"
 
 
 @dataclass
@@ -686,6 +687,8 @@ def _trial(suite: _Suite, cfg: GenConfig) -> TrialResult:
             return Discarded("fuel")
         if isinstance(o, RuntimeFault):
             return Discarded("runtime")
+        if isinstance(o, DepthExceeded):
+            return Discarded("depth")
     finals = (outs[0].state if suite.runs == 2 else s1, outs[-1].state)
     stats = EquivStats()
     eq_cfg = EquivConfig(rng_seed=_derive(cfg.rng_seed, _ROLE_EQUIV))
@@ -706,12 +709,13 @@ class SuiteReport:
     passes: int = 0
     discarded_fuel: int = 0
     discarded_runtime: int = 0
+    discarded_depth: int = 0
     equiv_inconclusive: int = 0
     violations: list[dict] = field(default_factory=list)
 
     @property
     def discarded(self) -> int:
-        return self.discarded_fuel + self.discarded_runtime
+        return self.discarded_fuel + self.discarded_runtime + self.discarded_depth
 
     def to_json(self) -> dict:
         return {
@@ -720,6 +724,7 @@ class SuiteReport:
             "passes": self.passes,
             "discarded_fuel": self.discarded_fuel,
             "discarded_runtime": self.discarded_runtime,
+            "discarded_depth": self.discarded_depth,
             "equiv_inconclusive": self.equiv_inconclusive,
             "violations": len(self.violations),
             "violation_details": self.violations,
@@ -729,7 +734,8 @@ class SuiteReport:
         return (
             f"suite {self.suite}: trials={self.trials} pass={self.passes}"
             f" discard={self.discarded} (fuel={self.discarded_fuel},"
-            f" runtime={self.discarded_runtime}) inconclusive={self.equiv_inconclusive}"
+            f" runtime={self.discarded_runtime}, depth={self.discarded_depth})"
+            f" inconclusive={self.equiv_inconclusive}"
             f" violations={len(self.violations)}"
         )
 
@@ -757,8 +763,10 @@ def run_suite(suite: str, cfg: GenConfig, trials: int | None = None) -> SuiteRep
                 report.equiv_inconclusive += inconclusive
             case Discarded("fuel"):
                 report.discarded_fuel += 1
-            case Discarded(_):
+            case Discarded("runtime"):
                 report.discarded_runtime += 1
+            case Discarded("depth"):
+                report.discarded_depth += 1
             case Violation(program=program, tenv=tenv, s1=s1, s2=s2, seed=seed, detail=detail):
                 if len(report.violations) < 5:
                     report.violations.append(

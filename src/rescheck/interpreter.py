@@ -6,6 +6,15 @@ FuelExhausted after a bounded amount of work. The input store is copied up
 front and environments are extended copy-on-write, which keeps the caller's
 state intact; evaluating the same expression from equal states is fully
 deterministic.
+
+Dispatch is by node type: `_RULES` maps each concrete `Expr` class to the
+one `_Evaluator` method that implements its rule, and `_Evaluator.eval`
+charges one fuel, checks the nesting depth, then calls the rule for
+`type(e)`. Anything without a rule raises TypeError.
+
+Nesting depth is its own outcome. Evaluation that nests deeper than
+`_MAX_DEPTH` rule applications ends in DepthExceeded, not FuelExhausted:
+running out of budget and running out of stack are different diagnoses.
 """
 
 from __future__ import annotations
@@ -33,7 +42,6 @@ from .syntax import (
     Unit,
     Var,
     While,
-    pretty,
 )
 
 # ---------------------------------------------------------------------------
@@ -174,6 +182,13 @@ class FuelExhausted(Outcome):
     pass
 
 
+@dataclass
+class DepthExceeded(Outcome):
+    """Evaluation nested deeper than the evaluator's limit, with fuel left."""
+
+    limit: int
+
+
 class _Fault(Exception):
     def __init__(self, kind: FaultKind, at: Pos | None):
         self.kind = kind
@@ -184,9 +199,13 @@ class _OutOfFuel(Exception):
     pass
 
 
+class _TooDeep(Exception):
+    pass
+
+
 # Recursion in evaluated programs consumes fuel faster than Python stack
-# frames, but a generous guard converts a would-be interpreter stack
-# overflow into FuelExhausted instead of crashing the host.
+# frames, but a generous guard turns a would-be interpreter stack overflow
+# into DepthExceeded instead of crashing the host.
 _MAX_DEPTH = 2500
 
 
@@ -202,116 +221,119 @@ class _Evaluator:
         self.fuel -= n
 
     def eval(self, e: Expr, env: Env) -> tuple[Value, Env]:
-        self.charge()
+        if self.fuel < 1:
+            raise _OutOfFuel
+        self.fuel -= 1
         self.depth += 1
         if self.depth > _MAX_DEPTH:
-            raise _OutOfFuel
+            raise _TooDeep
         try:
-            return self._apply(e, env)
+            rule = _RULES.get(type(e))
+            if rule is None:
+                raise TypeError(f"not an Expr: {e!r}")
+            return rule(self, e, env)
         finally:
             self.depth -= 1
 
-    def _apply(self, e: Expr, env: Env) -> tuple[Value, Env]:
-        match e:
-            case Num(literal):
-                return IntV(int(literal)), env
+    # One rule per node type: _RULES maps class Num to method _num, and so on.
 
-            case Bool(value):
-                return BoolV(value), env
+    def _num(self, e: Num, env: Env) -> tuple[Value, Env]:
+        return IntV(int(e.literal)), env
 
-            case Unit():
+    def _bool(self, e: Bool, env: Env) -> tuple[Value, Env]:
+        return BoolV(e.value), env
+
+    def _unit(self, e: Unit, env: Env) -> tuple[Value, Env]:
+        return UNIT, env
+
+    def _var(self, e: Var, env: Env) -> tuple[Value, Env]:
+        v = env.get(e.name)
+        if v is None:
+            raise _Fault(FaultKind.UNBOUND_VAR, e.pos)
+        return v, env
+
+    def _bop(self, e: Bop, env: Env) -> tuple[Value, Env]:
+        v1, _ = self.eval(e.lhs, env)
+        v2, _ = self.eval(e.rhs, env)
+        return self._binop(e.op, v1, v2, e), env
+
+    def _let(self, e: Let, env: Env) -> tuple[Value, Env]:
+        v, _ = self.eval(e.rhs, env)
+        return UNIT, {**env, e.name: v}
+
+    def _if(self, e: If, env: Env) -> tuple[Value, Env]:
+        cv, _ = self.eval(e.cond, env)
+        if not isinstance(cv, BoolV):
+            raise _Fault(FaultKind.NOT_A_BOOL, e.pos)
+        v, _ = self.eval(e.then if cv.b else e.orelse, env)
+        return v, env
+
+    def _while(self, e: While, env: Env) -> tuple[Value, Env]:
+        # Iterative form of the recursive rule; each unfolding of the loop is
+        # one more rule application, charged before its test.
+        cond, body = e.cond, e.body
+        while True:
+            cv, _ = self.eval(cond, env)
+            if not isinstance(cv, BoolV):
+                raise _Fault(FaultKind.NOT_A_BOOL, e.pos)
+            if not cv.b:
                 return UNIT, env
+            self.eval(body, env)
+            self.charge()
 
-            case Var(x):
-                v = env.get(x)
-                if v is None:
-                    raise _Fault(FaultKind.UNBOUND_VAR, e.pos)
-                return v, env
+    def _for(self, e: For, env: Env) -> tuple[Value, Env]:
+        v1, _ = self.eval(e.start, env)
+        v2, _ = self.eval(e.stop, env)
+        if not isinstance(v1, IntV) or not isinstance(v2, IntV):
+            raise _Fault(FaultKind.NOT_AN_INT, e.pos)
+        a, b = v1.n, v2.n
+        if a > b:
+            raise _Fault(FaultKind.FOR_BOUNDS_INVALID, e.pos)
+        # The recursive rule peels the upper bound: each level below the base
+        # costs one application plus two bound evaluations.
+        self.charge(3 * (b - a))
+        x, body = e.var, e.body
+        for i in range(a, b + 1):
+            self.eval(body, {**env, x: IntV(i)})
+        return UNIT, env
 
-            case Bop(op, lhs, rhs):
-                v1, _ = self.eval(lhs, env)
-                v2, _ = self.eval(rhs, env)
-                return self._binop(op, v1, v2, e), env
+    def _seq(self, e: Seq, env: Env) -> tuple[Value, Env]:
+        _, env2 = self.eval(e.first, env)
+        return self.eval(e.second, env2)
 
-            case Let(x, _, rhs):
-                v, _ = self.eval(rhs, env)
-                return UNIT, {**env, x: v}
+    def _func(self, e: Func, env: Env) -> tuple[Value, Env]:
+        return ClosV(e.body, e.param, env), env
 
-            case If(cond, then, orelse):
-                cv, _ = self.eval(cond, env)
-                if not isinstance(cv, BoolV):
-                    raise _Fault(FaultKind.NOT_A_BOOL, e.pos)
-                branch = then if cv.b else orelse
-                v, _ = self.eval(branch, env)
-                return v, env
+    def _app(self, e: App, env: Env) -> tuple[Value, Env]:
+        fv, _ = self.eval(e.fn, env)
+        av, _ = self.eval(e.arg, env)
+        if not isinstance(fv, ClosV):
+            raise _Fault(FaultKind.NOT_A_FUNCTION, e.pos)
+        v, _ = self.eval(fv.body, {**fv.env, fv.param: av})
+        return v, env
 
-            case While(cond, body):
-                # Iterative form of the recursive rule; each unfolding of the
-                # loop is one more rule application, charged before its test.
-                while True:
-                    cv, _ = self.eval(cond, env)
-                    if not isinstance(cv, BoolV):
-                        raise _Fault(FaultKind.NOT_A_BOOL, e.pos)
-                    if not cv.b:
-                        return UNIT, env
-                    self.eval(body, env)
-                    self.charge()
+    def _ref(self, e: Ref, env: Env) -> tuple[Value, Env]:
+        v, _ = self.eval(e.inner, env)
+        return LocV(self.store.alloc(v)), env
 
-            case For(x, start, stop, body):
-                v1, _ = self.eval(start, env)
-                v2, _ = self.eval(stop, env)
-                if not isinstance(v1, IntV) or not isinstance(v2, IntV):
-                    raise _Fault(FaultKind.NOT_AN_INT, e.pos)
-                a, b = v1.n, v2.n
-                if a > b:
-                    raise _Fault(FaultKind.FOR_BOUNDS_INVALID, e.pos)
-                # The recursive rule peels the upper bound: each level below
-                # the base costs one application plus two bound evaluations.
-                self.charge(3 * (b - a))
-                for i in range(a, b + 1):
-                    self.eval(body, {**env, x: IntV(i)})
-                return UNIT, env
+    def _deref(self, e: Deref, env: Env) -> tuple[Value, Env]:
+        lv = env.get(e.name)
+        if lv is None:
+            raise _Fault(FaultKind.UNBOUND_VAR, e.pos)
+        data = self.store.data
+        if not isinstance(lv, LocV) or lv.loc not in data:
+            raise _Fault(FaultKind.NOT_A_LOC, e.pos)
+        return data[lv.loc], env
 
-            case Seq(first, second):
-                _, env2 = self.eval(first, env)
-                v, env3 = self.eval(second, env2)
-                return v, env3
-
-            case Func(param, _, body):
-                return ClosV(body, param, env), env
-
-            case App(fn, arg):
-                fv, _ = self.eval(fn, env)
-                av, _ = self.eval(arg, env)
-                if not isinstance(fv, ClosV):
-                    raise _Fault(FaultKind.NOT_A_FUNCTION, e.pos)
-                v, _ = self.eval(fv.body, {**fv.env, fv.param: av})
-                return v, env
-
-            case Ref(inner):
-                v, _ = self.eval(inner, env)
-                loc = self.store.alloc(v)
-                return LocV(loc), env
-
-            case Deref(x):
-                lv = env.get(x)
-                if lv is None:
-                    raise _Fault(FaultKind.UNBOUND_VAR, e.pos)
-                if not isinstance(lv, LocV) or lv.loc not in self.store.data:
-                    raise _Fault(FaultKind.NOT_A_LOC, e.pos)
-                return self.store.data[lv.loc], env
-
-            case Assign(x, rhs):
-                v, _ = self.eval(rhs, env)
-                lv = env.get(x)
-                if lv is None:
-                    raise _Fault(FaultKind.UNBOUND_VAR, e.pos)
-                if not isinstance(lv, LocV):
-                    raise _Fault(FaultKind.NOT_A_LOC, e.pos)
-                self.store.data[lv.loc] = v
-                return UNIT, env
-
-        raise TypeError(f"not an Expr: {e!r}")
+    def _assign(self, e: Assign, env: Env) -> tuple[Value, Env]:
+        v, _ = self.eval(e.rhs, env)
+        lv = env.get(e.name)
+        if lv is None:
+            raise _Fault(FaultKind.UNBOUND_VAR, e.pos)
+        if not isinstance(lv, LocV):
+            raise _Fault(FaultKind.NOT_A_LOC, e.pos)
+        self.store.data[lv.loc] = v
+        return UNIT, env
 
     def _binop(self, op: BinOp, v1: Value, v2: Value, e: Expr) -> Value:
         if op is BinOp.EQ:
@@ -342,6 +364,12 @@ class _Evaluator:
         raise AssertionError(op)
 
 
+_RULES = {
+    cls: getattr(_Evaluator, "_" + cls.__name__.lower())
+    for cls in (Num, Bool, Unit, Var, Bop, Let, If, While, For, Seq, Func, App, Ref, Deref, Assign)
+}
+
+
 def evaluate(e: Expr, env: Env, store: Store, fuel: int) -> Outcome:
     """Evaluate an expression. The given env and store are left untouched."""
     if fuel < 1:
@@ -357,6 +385,8 @@ def evaluate(e: Expr, env: Env, store: Store, fuel: int) -> Outcome:
         return RuntimeFault(f.kind, f.at)
     except _OutOfFuel:
         return FuelExhausted()
+    except _TooDeep:
+        return DepthExceeded(_MAX_DEPTH)
     finally:
         if sys.getrecursionlimit() != limit:
             sys.setrecursionlimit(limit)
@@ -370,6 +400,7 @@ def run_program(e: Expr, fuel: int) -> Outcome:
 __all__ = [
     "BoolV",
     "ClosV",
+    "DepthExceeded",
     "Env",
     "FaultKind",
     "FuelExhausted",

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from rescheck.cli import (
+    EXIT_DEPTH_EXCEEDED,
     EXIT_FUEL_EXHAUSTED,
     EXIT_IO_ERROR,
     EXIT_OK,
@@ -116,6 +117,13 @@ class TestRun:
     def test_fuel_exhaustion(self, src, capsys):
         assert main(["run", "--fuel", "10", src("while true { () }")]) == EXIT_FUEL_EXHAUSTED
         assert "fuel exhausted after 10 steps" in capsys.readouterr().err
+
+    def test_nesting_too_deep(self, src, capsys):
+        path = src("0" + " + 1" * 3000)
+        assert main(["run", "--unsafe", path]) == EXIT_DEPTH_EXCEEDED == 7
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: nesting too deep (limit 2500)\n"
 
     def test_unsafe_runtime_fault_without_types(self, src, capsys):
         assert main(["run", "--unsafe", src("true + 1")]) == EXIT_RUNTIME_FAULT

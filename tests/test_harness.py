@@ -11,6 +11,7 @@ from rescheck import (
     BoolV,
     ClosV,
     CorpusReport,
+    DepthExceeded,
     Discarded,
     GenConfig,
     IntV,
@@ -193,6 +194,15 @@ class TestSuites:
         report = run_suite("soundness", GenConfig(rng_seed=5, fuel=3), trials=30)
         assert report.violations == []
         assert report.discarded_fuel > 0
+
+    def test_depth_is_a_discard_of_its_own(self, monkeypatch):
+        monkeypatch.setattr(harness, "evaluate", lambda *args: DepthExceeded(2500))
+        report = run_suite("soundness", GenConfig(rng_seed=5), trials=6)
+        assert (report.passes, report.discarded_fuel, report.discarded_runtime) == (0, 0, 0)
+        assert report.discarded_depth == report.discarded == 6
+        keys = list(report.to_json())
+        assert keys[keys.index("discarded_runtime") + 1] == "discarded_depth"
+        assert "discard=6 (fuel=0, runtime=0, depth=6)" in report.summary()
 
     def test_summary_format(self):
         report = run_suite("lemma2", GenConfig(rng_seed=5), trials=5)

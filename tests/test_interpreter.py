@@ -5,6 +5,7 @@ import pytest
 from rescheck import (
     BoolV,
     ClosV,
+    DepthExceeded,
     FaultKind,
     FuelExhausted,
     IntV,
@@ -19,6 +20,7 @@ from rescheck import (
     pretty_value,
     run_program,
 )
+from rescheck import interpreter, syntax
 
 FUEL = 10_000
 
@@ -266,16 +268,47 @@ class TestFuel:
         assert isinstance(run("1", fuel=0), FuelExhausted)
         assert isinstance(run("1", fuel=1), Ok)
 
-    def test_deep_recursion_is_fuel_not_a_crash(self):
-        # self-application loops through closures, not Python recursion
+    def test_deep_recursion_is_depth_not_a_crash(self):
+        # self-application nests one App inside the next, so with fuel to
+        # spare it reaches the depth limit: a diagnosis of its own, not fuel
         src = "let w = (f: low) => f f\nw w"
         out = run(src, fuel=200_000)
-        assert isinstance(out, FuelExhausted)
+        assert out == DepthExceeded(2500)
 
     def test_deeply_nested_expression_does_not_crash(self):
         src = "0" + (" + 1" * 3000)
         out = run(src, fuel=100_000)
-        assert isinstance(out, (Ok, FuelExhausted))
+        assert out == DepthExceeded(2500)
+
+    def test_depth_limit_only_applies_with_fuel_left(self):
+        src = "let w = (f: low) => f f\nw w"
+        assert isinstance(run(src, fuel=2_000), FuelExhausted)
+
+
+class TestDispatch:
+    def concrete_exprs(self):
+        out, todo = set(), [syntax.Expr]
+        while todo:
+            cls = todo.pop()
+            todo.extend(cls.__subclasses__())
+            if cls is not syntax.Expr:
+                out.add(cls)
+        return out
+
+    def test_every_expr_class_has_exactly_one_rule(self):
+        exprs = self.concrete_exprs()
+        assert len(exprs) == 15
+        assert set(interpreter._RULES) == exprs
+        rules = list(interpreter._RULES.values())
+        assert len(set(rules)) == len(rules)
+
+    @pytest.mark.parametrize(
+        "e", [42, "x", None, syntax.Expr()], ids=["int", "str", "None", "bare Expr"]
+    )
+    def test_a_non_expr_is_a_type_error(self, e):
+        with pytest.raises(TypeError) as err:
+            evaluate(e, {}, Store(), 10)
+        assert str(err.value) == f"not an Expr: {e!r}"
 
 
 class TestRunProgram:
