@@ -234,11 +234,6 @@ def low_equiv(
             continue
         if name not in s1.env or name not in s2.env:
             return False
-        v1, v2 = s1.env[name], s2.env[name]
-        if isinstance(t, FunType):
-            if not eq.values(v1, s1.store, v2, s2.store, t, cfg.closure_depth):
-                return False
-        else:
-            if not _low_eq(v1, s1.store, v2, s2.store, set()):
-                return False
+        if not eq.values(s1.env[name], s1.store, s2.env[name], s2.store, t, cfg.closure_depth):
+            return False
     return True

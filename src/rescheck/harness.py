@@ -2,8 +2,11 @@
 
 The generators build programs by inverting the typing rules: every
 construction site only emits a form whose side conditions hold in the
-current context. Each trial checks its program once; that check is the
-generator's postcondition, and a `CheckError` from it is a generator bug.
+current context. Each expression is built once, under a cap on its level,
+and each statement above a write floor (pc, or High in effect-clean mode),
+so nothing is built and then thrown away. Each trial checks its program
+once; that check is the generator's postcondition, and a `CheckError` from
+it is a generator bug.
 Alongside the security level of each binding the generator tracks a runtime
 shape (int, bool, unit, ref or function), which the type system itself does
 not, so that generated programs do not get stuck on shape errors.
@@ -17,7 +20,7 @@ from __future__ import annotations
 import json
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -102,7 +105,7 @@ class Pass:
 
 @dataclass
 class Discarded:
-    reason: str  # "fuel", "runtime" or "depth"
+    reason: str  # "fuel", "runtime", "depth" or "unobservable"
 
 
 @dataclass
@@ -149,19 +152,14 @@ _PREFIXES = {
 
 
 def _kind_from_name(name: str, t: SecType):
-    stem = name.rstrip("0123456789")
-    for prefix, kind in _PREFIXES.items():
-        if stem == prefix:
-            return kind
+    kind = _PREFIXES.get(name.rstrip("0123456789"))
+    if kind is not None:
+        return kind
     if isinstance(t, RefType):
         return ("ref", "int")
     if isinstance(t, FunType):
         return "fun"
     return "int"
-
-
-def _ctx_from_tenv(tenv: TEnv) -> dict[str, tuple[SecType, object]]:
-    return {name: (t, _kind_from_name(name, t)) for name, t in tenv.items()}
 
 
 _BOTH = (LOW, HIGH)
@@ -171,6 +169,16 @@ _BOTH = (LOW, HIGH)
 
 
 class _Gen:
+    """Builds a program top-down, each subtree once.
+
+    An expression is built under a cap, the highest level it may have: a
+    literal is Low, so one always exists; var, deref and app draw from
+    sources at or below the cap, and bop and if pass it to their operands.
+    A statement writes at or above the floor, pc or High in effect-clean
+    mode. Under a High floor, bound values are exactly High (`high_expr`),
+    and a statement with no High source in scope is not built.
+    """
+
     def __init__(self, rng: random.Random, effect_clean: bool = False):
         self.rng = rng
         self.effect_clean = effect_clean
@@ -181,68 +189,70 @@ class _Gen:
         self.counter += 1
         return name
 
-    def literal(self, kind) -> Expr:
-        if kind == "int":
-            return Num(str(self.rng.randint(*INT_RANGE)))
-        if kind == "bool":
-            return Bool(self.rng.random() < 0.5)
-        return Unit()
+    def floor(self, pc: SecType) -> SecType:
+        return HIGH if self.effect_clean else pc
+
+    def draw(self, options, prefix, *args):
+        """Draw builders by weight, without replacement, until one builds.
+        A builder returns None, having built nothing, when the context has
+        no source for it; a literal or an expression statement always builds."""
+        while True:
+            pick = self.rng.choices(range(len(options)), weights=[w for w, _ in options])[0]
+            built = getattr(self, prefix + options.pop(pick)[1])(*args)
+            if built is not None:
+                return built
 
     # -- expressions ---------------------------------------------------------
 
-    def gen_expr(self, ctx, pc, depth, kind, allowed, pure):
-        """An expression of the given shape whose level lands in `allowed`.
-
-        Returns (expr, level, effect) or None when the context cannot
-        supply the required level (for example High with no high source).
-        """
-        options = []
+    def gen_expr(self, ctx, pc, depth, kind, cap, pure):
+        """(expr, level, effect): an expression of the given shape whose
+        level is at most `cap`. `pure` keeps out applications with effects."""
         if kind == "unit":
-            if LOW in allowed:
-                options.append((4.0, "literal"))
-            options.append((3.0, "var"))
+            options = [(4.0, "literal"), (3.0, "var")]
         else:
-            if LOW in allowed:
-                options.append((3.0, "literal"))
-            options.append((4.0, "var"))
-            options.append((3.0, "deref"))
+            options = [(3.0, "literal"), (4.0, "var"), (3.0, "deref")]
             if depth > 0:
-                options.append((3.0, "bop"))
-                options.append((1.0, "ifexpr"))
+                options += [(3.0, "bop"), (1.0, "ifexpr")]
                 if kind == "int":
                     options.append((1.5, "app"))
+        return self.draw(options, "_expr_", ctx, pc, depth, kind, cap, pure)
 
-        while options:
-            weights = [w for w, _ in options]
-            pick = self.rng.choices(range(len(options)), weights=weights, k=1)[0]
-            _, name = options.pop(pick)
-            built = getattr(self, "_expr_" + name)(ctx, pc, depth, kind, allowed, pure)
-            if built is not None:
-                return built
-        return None
+    def high_expr(self, ctx, kind) -> Expr | None:
+        """An expression of exactly High: a High variable or a deref of a
+        ref High of the given shape, or None when none is in scope."""
+        sources = [(Var, n) for n, (t, k) in ctx.items() if k == kind and isinstance(t, High)]
+        sources += [
+            (Deref, n)
+            for n, (t, k) in ctx.items()
+            if k == ("ref", kind) and isinstance(t.inner, High)
+        ]
+        if not sources:
+            return None
+        node, name = self.rng.choice(sources)
+        return node(name)
 
-    def _expr_literal(self, ctx, pc, depth, kind, allowed, pure):
-        return self.literal(kind), LOW, EMPTY
+    def _expr_literal(self, ctx, pc, depth, kind, cap, pure):
+        if kind == "int":
+            return Num(str(self.rng.randint(*INT_RANGE))), LOW, EMPTY
+        if kind == "bool":
+            return Bool(self.rng.random() < 0.5), LOW, EMPTY
+        return Unit(), LOW, EMPTY
 
-    def _expr_var(self, ctx, pc, depth, kind, allowed, pure):
-        names = [n for n, (t, k) in ctx.items() if k == kind and t in allowed]
+    def _expr_var(self, ctx, pc, depth, kind, cap, pure):
+        names = [n for n, (t, k) in ctx.items() if k == kind and leq(t, cap)]
         if not names:
             return None
         name = self.rng.choice(names)
         return Var(name), ctx[name][0], EMPTY
 
-    def _expr_deref(self, ctx, pc, depth, kind, allowed, pure):
-        names = [
-            n
-            for n, (t, k) in ctx.items()
-            if k == ("ref", kind) and isinstance(t, RefType) and t.inner in allowed
-        ]
+    def _expr_deref(self, ctx, pc, depth, kind, cap, pure):
+        names = [n for n, (t, k) in ctx.items() if k == ("ref", kind) and leq(t.inner, cap)]
         if not names:
             return None
         name = self.rng.choice(names)
         return Deref(name), ctx[name][0].inner, EMPTY
 
-    def _expr_bop(self, ctx, pc, depth, kind, allowed, pure):
+    def _expr_bop(self, ctx, pc, depth, kind, cap, pure):
         rng = self.rng
         if kind == "int":
             op = rng.choice([BinOp.ADD, BinOp.SUB, BinOp.MUL, BinOp.DIV])
@@ -250,84 +260,48 @@ class _Gen:
         else:
             op = rng.choice([BinOp.EQ, BinOp.LT, BinOp.GT])
             operand_kind = "bool" if op is BinOp.EQ and rng.random() < 0.5 else "int"
-            if op in (BinOp.LT, BinOp.GT):
-                operand_kind = "int"
-        if allowed == frozenset({HIGH}):
-            first = self.gen_expr(ctx, pc, depth - 1, operand_kind, frozenset({HIGH}), pure)
-            if first is None:
-                return None
-            second_allowed = frozenset(_BOTH)
-        else:
-            first = self.gen_expr(ctx, pc, depth - 1, operand_kind, allowed, pure)
-            if first is None:
-                return None
-            second_allowed = allowed
+        e1, t1, f1 = self.gen_expr(ctx, pc, depth - 1, operand_kind, cap, pure)
         if op is BinOp.DIV:
             # nonzero literal divisor keeps generated programs from faulting
-            second = Num(str(self.rng.randint(1, 8))), LOW, EMPTY
-        elif op is BinOp.MUL:
+            return Bop(op, e1, Num(str(rng.randint(1, 8)))), t1, f1
+        if op is BinOp.MUL:
             # literal factor caps value growth per step; repeated squaring
             # inside loops would otherwise make single steps arbitrarily slow
-            second = Num(str(self.rng.randint(-8, 8))), LOW, EMPTY
-        else:
-            second = self.gen_expr(ctx, pc, depth - 1, operand_kind, second_allowed, pure)
-        if second is None:
-            return None
-        e1, t1, f1 = first
-        e2, t2, f2 = second
-        if self.rng.random() < 0.5 and op not in (BinOp.DIV, BinOp.MUL):
-            e1, t1, f1, e2, t2, f2 = e2, t2, f2, e1, t1, f1
-        level = join([t1, t2])
-        if level not in allowed:
-            return None
-        return Bop(op, e1, e2), level, meet([f1, f2])
+            return Bop(op, e1, Num(str(rng.randint(-8, 8)))), t1, f1
+        e2, t2, f2 = self.gen_expr(ctx, pc, depth - 1, operand_kind, cap, pure)
+        if rng.random() < 0.5:
+            e1, e2 = e2, e1
+        return Bop(op, e1, e2), join([t1, t2]), meet([f1, f2])
 
-    def _expr_app(self, ctx, pc, depth, kind, allowed, pure):
-        funs = []
-        for n, (t, k) in ctx.items():
-            if k != "fun" or not isinstance(t, FunType):
-                continue
-            if t.result not in allowed:
-                continue
-            if pure and not isinstance(t.latent, Empty):
-                continue
-            if self.effect_clean and isinstance(t.latent, Low):
-                continue
-            # applying under this pc must satisfy meet{effects} >= pc
-            if not leq(pc, meet([EMPTY, t.latent])):
-                continue
-            funs.append(n)
+    def _expr_app(self, ctx, pc, depth, kind, cap, pure):
+        floor = self.floor(pc)
+        funs = [
+            n
+            for n, (t, k) in ctx.items()
+            if k == "fun"
+            and leq(t.result, cap)
+            and leq(floor, t.latent)
+            and (not pure or isinstance(t.latent, Empty))
+        ]
         if not funs:
             return None
         name = self.rng.choice(funs)
         ft: FunType = ctx[name][0]
-        arg = self.gen_expr(ctx, pc, depth - 1, "int", frozenset({ft.param}), True)
-        if arg is None:
-            return None
-        e, _, f_arg = arg
-        effect = meet([f_arg, ft.latent, EMPTY])
-        return App(Var(name), e), ft.result, effect
+        if isinstance(ft.param, High):
+            arg = self.high_expr(ctx, "int")
+            if arg is None:
+                return None
+        else:
+            arg = self.gen_expr(ctx, pc, depth - 1, "int", LOW, True)[0]
+        # a pure argument has effect (), so the latent effect is the call's
+        return App(Var(name), arg), ft.result, ft.latent
 
-    def _expr_ifexpr(self, ctx, pc, depth, kind, allowed, pure):
-        cond = self.gen_expr(ctx, pc, depth - 1, "bool", frozenset(_BOTH), pure)
-        if cond is None:
-            return None
-        ce, ct, cf = cond
+    def _expr_ifexpr(self, ctx, pc, depth, kind, cap, pure):
+        ce, ct, cf = self.gen_expr(ctx, pc, depth - 1, "bool", cap, pure)
         pc2 = join([pc, ct])
-        then = self.gen_expr(ctx, pc2, depth - 1, kind, frozenset(_BOTH), pure)
-        orelse = self.gen_expr(ctx, pc2, depth - 1, kind, frozenset(_BOTH), pure)
-        if then is None or orelse is None:
-            return None
-        te, tt, tf = then
-        oe, ot, of = orelse
-        level = join([ct, tt, ot])
-        if level not in allowed:
-            return None
-        return If(ce, te, oe), level, meet([cf, tf, of])
-
-    def gen_value_expr(self, ctx, pc, depth):
-        kind = self.rng.choices(["int", "bool", "unit"], weights=[3, 1.5, 0.5], k=1)[0]
-        return self.gen_expr(ctx, pc, depth, kind, frozenset(_BOTH), False)
+        te, tt, tf = self.gen_expr(ctx, pc2, depth - 1, kind, cap, pure)
+        oe, ot, of = self.gen_expr(ctx, pc2, depth - 1, kind, cap, pure)
+        return If(ce, te, oe), join([ct, tt, ot]), meet([cf, tf, of])
 
     # -- statements ----------------------------------------------------------
 
@@ -335,12 +309,8 @@ class _Gen:
         stmts: list[Expr] = []
         for _ in range(self.rng.randint(1, 3)):
             stmts.extend(self.gen_stmt(ctx, pc, depth))
-        if self.rng.random() < 0.6 or not stmts:
-            got = self.gen_value_expr(ctx, pc, depth)
-            if got is not None:
-                stmts.append(got[0])
-        if not stmts:
-            stmts.append(self.literal("int"))
+        if self.rng.random() < 0.6:
+            stmts.extend(self._stmt_expr(ctx, pc, depth))
         e = stmts[-1]
         for s in reversed(stmts[:-1]):
             e = Seq(s, e)
@@ -358,157 +328,105 @@ class _Gen:
         ]
         if depth > 0:
             options += [(1.5, "if"), (1.0, "while"), (1.0, "for")]
-        while options:
-            weights = [w for w, _ in options]
-            pick = self.rng.choices(range(len(options)), weights=weights, k=1)[0]
-            _, name = options.pop(pick)
-            built = getattr(self, "_stmt_" + name)(ctx, pc, depth)
-            if built is not None:
-                return built
-        return [self.literal("int")]
+        return self.draw(options, "_stmt_", ctx, pc, depth)
+
+    def _stored(self, ctx, pc, depth, kind, pure):
+        """(expr, level) of a value to bind: any level under a Low floor,
+        exactly High under a High one (None with no High source)."""
+        if isinstance(self.floor(pc), Low):
+            e, level, _ = self.gen_expr(ctx, pc, depth, kind, HIGH, pure)
+            return e, level
+        e = self.high_expr(ctx, kind)
+        return None if e is None else (e, HIGH)
 
     def _stmt_expr(self, ctx, pc, depth):
-        got = self.gen_value_expr(ctx, pc, depth)
-        return None if got is None else [got[0]]
+        kind = self.rng.choices(["int", "bool", "unit"], weights=[3, 1.5, 0.5])[0]
+        return [self.gen_expr(ctx, pc, depth, kind, HIGH, False)[0]]
 
     def _stmt_let_base(self, ctx, pc, depth):
         kind = self.rng.choice(["int", "int", "bool"])
-        if self.effect_clean or isinstance(pc, High):
-            allowed = frozenset({HIGH})
-        else:
-            allowed = frozenset(_BOTH)
-        got = self.gen_expr(ctx, pc, depth, kind, allowed, False)
+        got = self._stored(ctx, pc, depth, kind, False)
         if got is None:
             return None
-        rhs, level, _ = got
         name = self.fresh("i" if kind == "int" else "b")
-        ctx[name] = (level, kind)
-        return [Let(name, None, rhs)]
+        ctx[name] = (got[1], kind)
+        return [Let(name, None, got[0])]
 
     def _stmt_let_annot(self, ctx, pc, depth):
-        if self.effect_clean or isinstance(pc, High):
-            ann = HIGH
-        else:
-            ann = self.rng.choice([LOW, HIGH])
+        ann = HIGH if isinstance(self.floor(pc), High) else self.rng.choice(_BOTH)
         kind = self.rng.choice(["int", "int", "bool"])
-        allowed = frozenset({LOW}) if isinstance(ann, Low) else frozenset(_BOTH)
-        got = self.gen_expr(ctx, pc, depth, kind, allowed, False)
-        if got is None:
-            return None
+        rhs = self.gen_expr(ctx, pc, depth, kind, ann, False)[0]
         name = self.fresh("i" if kind == "int" else "b")
         ctx[name] = (ann, kind)
-        return [Let(name, ann, got[0])]
+        return [Let(name, ann, rhs)]
 
     def _stmt_let_ref(self, ctx, pc, depth):
         kind = self.rng.choice(["int", "int", "bool"])
-        if self.effect_clean or isinstance(pc, High):
-            allowed = frozenset({HIGH})
-        else:
-            allowed = frozenset(_BOTH)
-        got = self.gen_expr(ctx, pc, depth, kind, allowed, True)
+        got = self._stored(ctx, pc, depth, kind, True)
         if got is None:
             return None
-        rhs, level, _ = got
         name = self.fresh("ri" if kind == "int" else "rb")
-        ctx[name] = (RefType(level), ("ref", kind))
-        return [Let(name, None, Ref(rhs))]
+        ctx[name] = (RefType(got[1]), ("ref", kind))
+        return [Let(name, None, Ref(got[0]))]
 
     def _stmt_let_fun(self, ctx, pc, depth):
-        if not isinstance(pc, Low) or self.effect_clean:
+        if isinstance(self.floor(pc), High):
             return None
-        param_t = self.rng.choice([LOW, HIGH])
+        param_t = self.rng.choice(_BOTH)
         param = self.fresh("i")
         body_ctx = dict(ctx)
         body_ctx[param] = (param_t, "int")
         pure = self.rng.random() < 0.8
-        got = self.gen_expr(body_ctx, pc, min(depth - 1, 2), "int", frozenset(_BOTH), pure)
-        if got is None:
-            return None
-        body, result_t, effect = got
-        if not leq(pc, effect):
-            return None
+        body, result_t, effect = self.gen_expr(body_ctx, pc, min(depth - 1, 2), "int", HIGH, pure)
         name = self.fresh("f")
         ctx[name] = (FunType(param_t, result_t, effect), "fun")
         return [Let(name, None, Func(param, param_t, body))]
 
     def _stmt_assign(self, ctx, pc, depth):
-        targets = []
-        for n, (t, k) in ctx.items():
-            if not isinstance(t, RefType):
-                continue
-            if not leq(pc, t.inner):
-                continue
-            if self.effect_clean and isinstance(t.inner, Low):
-                continue
-            targets.append(n)
+        floor = self.floor(pc)
+        targets = [n for n, (t, k) in ctx.items() if isinstance(t, RefType) and leq(floor, t.inner)]
         if not targets:
             return None
         name = self.rng.choice(targets)
-        t: RefType = ctx[name][0]
-        kind = ctx[name][1][1]
-        allowed = frozenset({LOW}) if isinstance(t.inner, Low) else frozenset(_BOTH)
-        got = self.gen_expr(ctx, pc, depth, kind, allowed, False)
-        if got is None:
-            return None
-        return [Assign(name, got[0])]
+        t, (_, kind) = ctx[name]
+        return [Assign(name, self.gen_expr(ctx, pc, depth, kind, t.inner, False)[0])]
 
     def _stmt_app(self, ctx, pc, depth):
-        got = self._expr_app(ctx, pc, max(depth, 1), "int", frozenset(_BOTH), False)
+        got = self._expr_app(ctx, pc, max(depth, 1), "int", HIGH, False)
         return None if got is None else [got[0]]
 
     def _stmt_if(self, ctx, pc, depth):
-        cond = self.gen_expr(ctx, pc, depth - 1, "bool", frozenset(_BOTH), False)
-        if cond is None:
-            return None
-        ce, ct, _ = cond
+        ce, ct, _ = self.gen_expr(ctx, pc, depth - 1, "bool", HIGH, False)
         pc2 = join([pc, ct])
         then = self.gen_program(dict(ctx), pc2, depth - 1)
         orelse = self.gen_program(dict(ctx), pc2, depth - 1)
         return [If(ce, then, orelse)]
 
     def _stmt_while(self, ctx, pc, depth):
-        if self.rng.random() < 0.06:
-            built = self._diverging_while(ctx, pc, depth)
-            if built is not None:
-                return built
-        # counter loop: let c = ref(k); while !c > 0 { ...; c := !c - 1 }
-        if self.effect_clean or isinstance(pc, High):
-            init = self.gen_expr(ctx, pc, depth - 1, "int", frozenset({HIGH}), True)
+        # let c = ref(k); while !c > 0 { ...; c := !c - 1 }, or rarely a loop
+        # that increments its own counter: it burns fuel, exercising the
+        # discard path
+        diverge = self.rng.random() < 0.06
+        if isinstance(self.floor(pc), High):
+            init = self.high_expr(ctx, "int")
             if init is None:
                 return None
-            init_e, level, _ = init
+            level = HIGH
         else:
+            init = Num("1" if diverge else str(self.rng.randint(1, MAX_FOR_SPAN)))
             level = LOW
-            init_e = Num(str(self.rng.randint(1, MAX_FOR_SPAN)))
         name = self.fresh("ri")
-        pc2 = join([pc, level])
-        # the body is generated without the counter in view, so nothing can
-        # reassign it and the trailing decrement guarantees termination
-        body_ctx = dict(ctx)
-        inner = self.gen_stmt(body_ctx, pc2, depth - 1)
-        ctx[name] = (RefType(level), ("ref", "int"))
-        step = Assign(name, Bop(BinOp.SUB, Deref(name), Num("1")))
-        body: Expr = step
-        for s in reversed(inner):
-            body = Seq(s, body)
-        cond = Bop(BinOp.GT, Deref(name), Num("0"))
-        return [Let(name, None, Ref(init_e)), While(cond, body)]
-
-    def _diverging_while(self, ctx, pc, depth):
-        # increments its own counter: burns fuel, exercising the discard path
-        if self.effect_clean or isinstance(pc, High):
-            init = self.gen_expr(ctx, pc, depth - 1, "int", frozenset({HIGH}), True)
-            if init is None:
-                return None
-            init_e, level, _ = init
+        if diverge:
+            body: Expr = Assign(name, Bop(BinOp.ADD, Deref(name), Num("1")))
         else:
-            level = LOW
-            init_e = Num("1")
-        name = self.fresh("ri")
+            # the body is generated without the counter in view, so nothing
+            # can reassign it and the trailing decrement guarantees termination
+            body = Assign(name, Bop(BinOp.SUB, Deref(name), Num("1")))
+            for s in reversed(self.gen_stmt(dict(ctx), join([pc, level]), depth - 1)):
+                body = Seq(s, body)
         ctx[name] = (RefType(level), ("ref", "int"))
         cond = Bop(BinOp.GT, Deref(name), Num("0"))
-        body = Assign(name, Bop(BinOp.ADD, Deref(name), Num("1")))
-        return [Let(name, None, Ref(init_e)), While(cond, body)]
+        return [Let(name, None, Ref(init)), While(cond, body)]
 
     def _stmt_for(self, ctx, pc, depth):
         a = self.rng.randint(-2, 2)
@@ -554,7 +472,8 @@ def gen_welltyped(cfg: GenConfig, tenv: TEnv, pc: SecType, effect_clean: bool = 
     there is a generator bug.
     """
     g = _Gen(random.Random(_derive(cfg.rng_seed, _ROLE_PROG)), effect_clean=effect_clean)
-    return g.gen_program(_ctx_from_tenv(tenv), pc, MAX_DEPTH)
+    ctx = {name: (t, _kind_from_name(name, t)) for name, t in tenv.items()}
+    return g.gen_program(ctx, pc, MAX_DEPTH)
 
 
 def _rand_base_value(kind, rng: random.Random) -> Value:
@@ -628,7 +547,8 @@ class _Suite:
     detail: str  # Violation text; {ty} is the program's type
     effect_clean: bool = False
     # (salt, predicate): draw up to 8 programs from salted seeds and keep the
-    # first whose judgment passes, else `0`. None: the trial seed's program.
+    # first whose judgment passes, else discard the trial as "unobservable".
+    # None: the trial seed's program.
     retry: tuple[int, Callable[[Judgment], bool]] | None = None
     runs: int = 2  # 1: run s1 only and compare it with its own final state
     observe: Callable[..., bool] = _states_agree
@@ -654,10 +574,11 @@ _SUITE_TABLE = {
 SUITES = tuple(_SUITE_TABLE)
 
 
-def _choose_program(suite: _Suite, cfg: GenConfig, tenv: TEnv) -> tuple[Expr, Judgment]:
+def _choose_program(suite: _Suite, cfg: GenConfig, tenv: TEnv) -> tuple[Expr, Judgment] | None:
     """The trial's program and its judgment, from the only checker call on
-    the trial path. It is the generator's postcondition: a `CheckError`, or
-    a Low effect from an effect-clean draw, is a generator bug."""
+    the trial path, or None when the suite's retry accepts no draw. The
+    check is the generator's postcondition: a `CheckError`, or a Low effect
+    from an effect-clean draw, is a generator bug."""
     if suite.retry is None:
         draws, accept = [cfg], None
     else:
@@ -669,15 +590,17 @@ def _choose_program(suite: _Suite, cfg: GenConfig, tenv: TEnv) -> tuple[Expr, Ju
         assert not suite.effect_clean or _effect_free(j), "effect-clean program has a Low effect"
         if accept is None or accept(j):
             return prog, j
-    prog = Num("0")
-    return prog, check(tenv, suite.pc, prog)
+    return None
 
 
 def _trial(suite: _Suite, cfg: GenConfig) -> TrialResult:
     """One trial: a well-typed program run from low-equivalent states must
     leave the suite's observer unable to tell the runs apart."""
     tenv = gen_tenv(cfg)
-    prog, j = _choose_program(suite, cfg, tenv)
+    chosen = _choose_program(suite, cfg, tenv)
+    if chosen is None:
+        return Discarded("unobservable")
+    prog, j = chosen
     s1, s2 = gen_lowequiv_states(cfg, tenv)
     if suite.runs == 1:
         s2 = s1
@@ -710,31 +633,29 @@ class SuiteReport:
     discarded_fuel: int = 0
     discarded_runtime: int = 0
     discarded_depth: int = 0
+    discarded_unobservable: int = 0
     equiv_inconclusive: int = 0
     violations: list[dict] = field(default_factory=list)
 
     @property
     def discarded(self) -> int:
-        return self.discarded_fuel + self.discarded_runtime + self.discarded_depth
+        return (
+            self.discarded_fuel + self.discarded_runtime + self.discarded_depth
+            + self.discarded_unobservable
+        )
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "passes": self.passes,
-            "discarded_fuel": self.discarded_fuel,
-            "discarded_runtime": self.discarded_runtime,
-            "discarded_depth": self.discarded_depth,
-            "equiv_inconclusive": self.equiv_inconclusive,
-            "violations": len(self.violations),
-            "violation_details": self.violations,
-        }
+        """Every field in order, with `violations` counted and listed after."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["violations"], out["violation_details"] = len(self.violations), self.violations
+        return out
 
     def summary(self) -> str:
         return (
             f"suite {self.suite}: trials={self.trials} pass={self.passes}"
             f" discard={self.discarded} (fuel={self.discarded_fuel},"
-            f" runtime={self.discarded_runtime}, depth={self.discarded_depth})"
+            f" runtime={self.discarded_runtime}, depth={self.discarded_depth},"
+            f" unobservable={self.discarded_unobservable})"
             f" inconclusive={self.equiv_inconclusive}"
             f" violations={len(self.violations)}"
         )
@@ -767,6 +688,8 @@ def run_suite(suite: str, cfg: GenConfig, trials: int | None = None) -> SuiteRep
                 report.discarded_runtime += 1
             case Discarded("depth"):
                 report.discarded_depth += 1
+            case Discarded("unobservable"):
+                report.discarded_unobservable += 1
             case Violation(program=program, tenv=tenv, s1=s1, s2=s2, seed=seed, detail=detail):
                 if len(report.violations) < 5:
                     report.violations.append(
@@ -798,14 +721,7 @@ class CorpusRow:
     ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "file": self.file,
-            "expected_verdict": self.expected_verdict,
-            "expected_rule": self.expected_rule,
-            "actual_verdict": self.actual_verdict,
-            "actual_rule": self.actual_rule,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -30,6 +30,7 @@ from rescheck import (
     pretty_type,
     run_corpus,
     run_suite,
+    trace_check,
     well_formed,
 )
 from rescheck import harness
@@ -97,6 +98,43 @@ class TestGenWelltyped:
             prog = gen_welltyped(cfg, tenv, LOW, effect_clean=True)
             j = check(dict(tenv), LOW, prog)
             assert isinstance(j.effect, (High, Empty))
+
+    RULES = {
+        "Num", "Bool", "Unit", "Var", "Bop", "Let-n", "Let-Base", "Let-Base-Func",
+        "Let-Base-Ref", "If-Else", "While", "For", "Seq", "Func", "App", "Ref",
+        "Deref", "Reassign",
+    }
+
+    @pytest.mark.parametrize(
+        "pc, clean", [(LOW, False), (HIGH, False), (LOW, True)], ids=["low", "high", "clean"]
+    )
+    def test_every_mode_keeps_its_test_power(self, pc, clean, monkeypatch):
+        # every expression request builds; under a High floor (high pc or
+        # effect-clean) nothing writes Low and no function is bound
+        built_nothing = []
+        real = harness._Gen.gen_expr
+
+        def gen_expr(gen, *args):
+            got = real(gen, *args)
+            if got is None:
+                built_nothing.append(args)
+            return got
+
+        monkeypatch.setattr(harness._Gen, "gen_expr", gen_expr)
+        rules = set()
+        for seed in range(300):
+            cfg = GenConfig(rng_seed=seed)
+            tenv = gen_tenv(cfg)
+            prog = gen_welltyped(cfg, tenv, pc, effect_clean=clean)
+            j, log = trace_check(dict(tenv), pc, prog)
+            if (pc, clean) != (LOW, False):
+                assert isinstance(j.effect, (High, Empty))
+            rules.update(f.rule for f in log)
+        assert built_nothing == []
+        if (pc, clean) == (LOW, False):
+            assert rules == self.RULES
+        else:
+            assert rules == self.RULES - {"Let-Base-Func", "Func"}
 
 
 class TestGenStates:
@@ -202,7 +240,8 @@ class TestSuites:
         assert report.discarded_depth == report.discarded == 6
         keys = list(report.to_json())
         assert keys[keys.index("discarded_runtime") + 1] == "discarded_depth"
-        assert "discard=6 (fuel=0, runtime=0, depth=6)" in report.summary()
+        assert keys[keys.index("discarded_depth") + 1] == "discarded_unobservable"
+        assert "discard=6 (fuel=0, runtime=0, depth=6, unobservable=0)" in report.summary()
 
     def test_summary_format(self):
         report = run_suite("lemma2", GenConfig(rng_seed=5), trials=5)
@@ -335,23 +374,31 @@ class TestCheckerCalls:
         with pytest.raises(AssertionError, match="Low effect"):
             _TRIAL_FNS["lemma5"](GenConfig(rng_seed=0))
 
-    # lemma1 seed 753 rejects all eight draws and falls back to `0`
-    @pytest.mark.parametrize("suite, seeds", [("lemma1", [*range(40), 753])])
-    def test_retry_suites_check_once_per_drawn_program(self, suite, seeds, calls):
-        fallbacks = 0
+    @pytest.mark.parametrize("suite, seeds", [("lemma1", [*range(40)])])
+    def test_retry_suites_check_once_per_drawn_program(self, suite, seeds, calls, monkeypatch):
         for seed in seeds:
             calls["checked"].clear()
             calls["drawn"].clear()
             _TRIAL_FNS[suite](GenConfig(rng_seed=seed))
             checked, drawn = calls["checked"], calls["drawn"]
             assert 1 <= len(drawn) <= 8
+            assert len(checked) == len(drawn)
             assert all(c is d for c, d in zip(checked, drawn))
-            if len(checked) == len(drawn) + 1:  # every draw rejected
-                assert len(drawn) == 8 and checked[-1] == Num("0")
-                fallbacks += 1
-            else:
-                assert len(checked) == len(drawn)
-        assert fallbacks == 1
+        # when no draw has a type a low observer can see, the trial tests
+        # nothing: it is discarded after eight checks, with no fallback program
+        hidden = parse("let h: high = 1\nh")
+        calls["checked"].clear()
+        calls["drawn"].clear()
+
+        def gen_welltyped(*args, **kwargs):
+            calls["drawn"].append(hidden)
+            return hidden
+
+        monkeypatch.setattr(harness, "gen_welltyped", gen_welltyped)
+        assert _TRIAL_FNS[suite](GenConfig(rng_seed=0)) == Discarded("unobservable")
+        assert len(calls["drawn"]) == 8
+        assert len(calls["checked"]) == 8
+        assert all(c is hidden for c in calls["checked"])
 
 
 class TestViolationReporting:
