@@ -12,7 +12,8 @@ watch the statistics to see how often that happened.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 from .interpreter import (
     BoolV,
@@ -23,6 +24,7 @@ from .interpreter import (
     Ok,
     State,
     Store,
+    UNIT,
     UnitV,
     Value,
 )
@@ -32,11 +34,13 @@ from .syntax import Empty, FunType, High, Low, RefType, SecType
 # anything that needs more than this is treated as inconclusive.
 CLOSURE_FUEL = 1000
 
+INT_RANGE = (-8, 8)  # ints in related value pairs and generated programs
+
 
 @dataclass(frozen=True)
 class EquivConfig:
-    closure_samples: int = 8
-    closure_depth: int = 2
+    closure_samples: ClassVar[int] = 8  # argument pairs run per closure pair
+    closure_depth: ClassVar[int] = 2  # function-type nesting compared by running
     rng_seed: int = 0
 
 
@@ -46,10 +50,6 @@ class EquivStats:
 
     closure_pairs_sampled: int = 0
     inconclusive_runs: int = 0
-
-
-class _Unsupported(Exception):
-    """No argument pair can be generated at this type."""
 
 
 def _low_eq(v1: Value, s1: Store, v2: Value, s2: Store, visited: set) -> bool:
@@ -92,31 +92,35 @@ def _closures_identical(c1: ClosV, s1: Store, c2: ClosV, s2: Store) -> bool:
     )
 
 
-def _gen_related(
-    t: SecType, rng: random.Random, s1: Store, s2: Store
-) -> tuple[Value, Value]:
-    """A pair of values related at t, allocating into the given stores."""
-    match t:
-        case Low():
-            n = rng.randint(-8, 8)
-            return IntV(n), IntV(n)
-        case High():
-            return IntV(rng.randint(-8, 8)), IntV(rng.randint(-8, 8))
-        case RefType(Low()):
-            n = rng.randint(-8, 8)
-            return LocV(s1.alloc(IntV(n))), LocV(s2.alloc(IntV(n)))
-        case RefType(High()):
-            return (
-                LocV(s1.alloc(IntV(rng.randint(-8, 8)))),
-                LocV(s2.alloc(IntV(rng.randint(-8, 8)))),
-            )
-        case FunType():
-            c = canonical_closure(t)
-            if c is None:
-                raise _Unsupported
-            return c, c
-        case _:
-            raise _Unsupported
+def related_values(
+    t: SecType, rng: random.Random, s1: Store, s2: Store, shape: str = "int"
+) -> tuple[Value, Value] | None:
+    """A pair of values a low observer cannot tell apart at t, with any
+    reference allocated into s1 and s2.
+
+    `shape` ("int", "bool" or "unit") is the runtime shape of a base value
+    or of a reference's contents. A Low value, or the contents of a ref Low,
+    is drawn once and shared; a High one is drawn for each side. A function
+    type gets its canonical closure on both sides. None when t is (), or a
+    function type without a canonical closure.
+    """
+    if isinstance(t, FunType):
+        c = canonical_closure(t)
+        return None if c is None else (c, c)
+    level = t.inner if isinstance(t, RefType) else t
+    if not isinstance(level, (Low, High)):
+        return None
+
+    def draw() -> Value:
+        if shape == "int":
+            return IntV(rng.randint(*INT_RANGE))
+        return BoolV(rng.random() < 0.5) if shape == "bool" else UNIT
+
+    v1 = draw()
+    v2 = v1 if isinstance(level, Low) else draw()
+    if isinstance(t, RefType):
+        return LocV(s1.alloc(v1)), LocV(s2.alloc(v2))
+    return v1, v2
 
 
 def canonical_closure(t: FunType) -> ClosV | None:
@@ -179,11 +183,11 @@ class _Equiv:
         result_t = t.result.inner if isinstance(t.result, RefType) else t.result
         for _ in range(self.cfg.closure_samples):
             c1, c2 = s1.copy(), s2.copy()
-            try:
-                a1, a2 = _gen_related(t.param, self.rng, c1, c2)
-            except _Unsupported:
+            pair = related_values(t.param, self.rng, c1, c2)
+            if pair is None:
                 self.stats.inconclusive_runs += 1
                 continue
+            a1, a2 = pair
             o1 = evaluate(v1.body, {**v1.env, v1.param: a1}, c1, CLOSURE_FUEL)
             o2 = evaluate(v2.body, {**v2.env, v2.param: a2}, c2, CLOSURE_FUEL)
             if not isinstance(o1, Ok) or not isinstance(o2, Ok):

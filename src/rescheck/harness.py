@@ -25,25 +25,23 @@ from functools import partial
 from pathlib import Path
 
 from .equivalence import (
+    INT_RANGE,
     EquivConfig,
     EquivStats,
-    canonical_closure,
     low_equiv,
     low_observable,
+    related_values,
     value_equiv,
 )
 from .interpreter import (
-    BoolV,
+    UNIT,
     ClosV,
     DepthExceeded,
     FuelExhausted,
-    IntV,
-    LocV,
     Ok,
     RuntimeFault,
     State,
     Store,
-    UnitV,
     Value,
     evaluate,
     pretty_value,
@@ -92,7 +90,6 @@ class GenConfig:
 
 MAX_DEPTH = 5  # statement and expression nesting of generated programs
 MAX_FOR_SPAN = 4  # most iterations of a generated for or counter loop
-INT_RANGE = (-8, 8)  # generated int literals and state values
 
 
 # Trial outcomes ------------------------------------------------------------
@@ -267,7 +264,7 @@ class _Gen:
         if op is BinOp.MUL:
             # literal factor caps value growth per step; repeated squaring
             # inside loops would otherwise make single steps arbitrarily slow
-            return Bop(op, e1, Num(str(rng.randint(-8, 8)))), t1, f1
+            return Bop(op, e1, Num(str(rng.randint(*INT_RANGE)))), t1, f1
         e2, t2, f2 = self.gen_expr(ctx, pc, depth - 1, operand_kind, cap, pure)
         if rng.random() < 0.5:
             e1, e2 = e2, e1
@@ -476,20 +473,12 @@ def gen_welltyped(cfg: GenConfig, tenv: TEnv, pc: SecType, effect_clean: bool = 
     return g.gen_program(ctx, pc, MAX_DEPTH)
 
 
-def _rand_base_value(kind, rng: random.Random) -> Value:
-    if kind == "int":
-        return IntV(rng.randint(*INT_RANGE))
-    if kind == "bool":
-        return BoolV(rng.random() < 0.5)
-    return UnitV()
-
-
 def gen_lowequiv_states(cfg: GenConfig, tenv: TEnv) -> tuple[State, State]:
     """Two states for tenv that agree on everything a low observer sees.
 
-    Low and ref Low bindings get identical values, High and ref High get
-    independent ones, and function bindings get the same closed closure in
-    both states.
+    Each binding gets a pair from `related_values`, with the runtime shape
+    its name encodes. A function type without a canonical closure gets a
+    constant `0` closure in both states, and any other type `()`.
     """
     rng = random.Random(_derive(cfg.rng_seed, _ROLE_STATE))
     env1: dict[str, Value] = {}
@@ -497,25 +486,13 @@ def gen_lowequiv_states(cfg: GenConfig, tenv: TEnv) -> tuple[State, State]:
     st1, st2 = Store(), Store()
     for name, t in tenv.items():
         kind = _kind_from_name(name, t)
-        match t:
-            case Low():
-                v = _rand_base_value(kind, rng)
-                env1[name] = env2[name] = v
-            case High():
-                env1[name] = _rand_base_value(kind, rng)
-                env2[name] = _rand_base_value(kind, rng)
-            case RefType(inner):
-                pointee = kind[1] if isinstance(kind, tuple) else "int"
-                v1 = _rand_base_value(pointee, rng)
-                v2 = v1 if isinstance(inner, Low) else _rand_base_value(pointee, rng)
-                env1[name] = LocV(st1.alloc(v1))
-                env2[name] = LocV(st2.alloc(v2))
-            case FunType():
-                # a constant result is observationally safe whatever t promises
-                clos = canonical_closure(t) or ClosV(Num("0"), "x", {})
-                env1[name] = env2[name] = clos
-            case _:
-                env1[name] = env2[name] = UnitV()
+        shape = kind[1] if isinstance(kind, tuple) else kind
+        pair = related_values(t, rng, st1, st2, shape)
+        if pair is None:
+            # a constant result is observationally safe whatever t promises
+            fallback = ClosV(Num("0"), "x", {}) if isinstance(t, FunType) else UNIT
+            pair = fallback, fallback
+        env1[name], env2[name] = pair
     s1, s2 = State(env1, st1), State(env2, st2)
     eq_cfg = EquivConfig(rng_seed=_derive(cfg.rng_seed, _ROLE_EQUIV))
     assert low_equiv(tenv, s1, s2, eq_cfg), "generated states must be low-equivalent"
@@ -593,6 +570,11 @@ def _choose_program(suite: _Suite, cfg: GenConfig, tenv: TEnv) -> tuple[Expr, Ju
     return None
 
 
+# Why a run that did not finish discards its trial; SuiteReport counts each
+# cause in its discarded_<cause> field.
+_DISCARD_CAUSE = {FuelExhausted: "fuel", RuntimeFault: "runtime", DepthExceeded: "depth"}
+
+
 def _trial(suite: _Suite, cfg: GenConfig) -> TrialResult:
     """One trial: a well-typed program run from low-equivalent states must
     leave the suite's observer unable to tell the runs apart."""
@@ -606,12 +588,8 @@ def _trial(suite: _Suite, cfg: GenConfig) -> TrialResult:
         s2 = s1
     outs = [evaluate(prog, s.env, s.store, cfg.fuel) for s in (s1, s2)[: suite.runs]]
     for o in outs:
-        if isinstance(o, FuelExhausted):
-            return Discarded("fuel")
-        if isinstance(o, RuntimeFault):
-            return Discarded("runtime")
-        if isinstance(o, DepthExceeded):
-            return Discarded("depth")
+        if not isinstance(o, Ok):
+            return Discarded(_DISCARD_CAUSE[type(o)])
     finals = (outs[0].state if suite.runs == 2 else s1, outs[-1].state)
     stats = EquivStats()
     eq_cfg = EquivConfig(rng_seed=_derive(cfg.rng_seed, _ROLE_EQUIV))
@@ -637,12 +615,17 @@ class SuiteReport:
     equiv_inconclusive: int = 0
     violations: list[dict] = field(default_factory=list)
 
+    def _discards(self) -> dict[str, int]:
+        """Discarded trials by cause, read from the discarded_<cause> fields."""
+        return {
+            f.name.removeprefix("discarded_"): getattr(self, f.name)
+            for f in fields(self)
+            if f.name.startswith("discarded_")
+        }
+
     @property
     def discarded(self) -> int:
-        return (
-            self.discarded_fuel + self.discarded_runtime + self.discarded_depth
-            + self.discarded_unobservable
-        )
+        return sum(self._discards().values())
 
     def to_json(self) -> dict:
         """Every field in order, with `violations` counted and listed after."""
@@ -651,11 +634,10 @@ class SuiteReport:
         return out
 
     def summary(self) -> str:
+        causes = ", ".join(f"{cause}={n}" for cause, n in self._discards().items())
         return (
             f"suite {self.suite}: trials={self.trials} pass={self.passes}"
-            f" discard={self.discarded} (fuel={self.discarded_fuel},"
-            f" runtime={self.discarded_runtime}, depth={self.discarded_depth},"
-            f" unobservable={self.discarded_unobservable})"
+            f" discard={self.discarded} ({causes})"
             f" inconclusive={self.equiv_inconclusive}"
             f" violations={len(self.violations)}"
         )
@@ -682,14 +664,9 @@ def run_suite(suite: str, cfg: GenConfig, trials: int | None = None) -> SuiteRep
             case Pass(inconclusive):
                 report.passes += 1
                 report.equiv_inconclusive += inconclusive
-            case Discarded("fuel"):
-                report.discarded_fuel += 1
-            case Discarded("runtime"):
-                report.discarded_runtime += 1
-            case Discarded("depth"):
-                report.discarded_depth += 1
-            case Discarded("unobservable"):
-                report.discarded_unobservable += 1
+            case Discarded(cause):
+                counter = "discarded_" + cause
+                setattr(report, counter, getattr(report, counter) + 1)
             case Violation(program=program, tenv=tenv, s1=s1, s2=s2, seed=seed, detail=detail):
                 if len(report.violations) < 5:
                     report.violations.append(

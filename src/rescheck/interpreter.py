@@ -189,18 +189,11 @@ class DepthExceeded(Outcome):
     limit: int
 
 
-class _Fault(Exception):
-    def __init__(self, kind: FaultKind, at: Pos | None):
-        self.kind = kind
-        self.at = at
+class _Stop(Exception):
+    """Ends evaluation early with the run's outcome."""
 
-
-class _OutOfFuel(Exception):
-    pass
-
-
-class _TooDeep(Exception):
-    pass
+    def __init__(self, outcome: Outcome):
+        self.outcome = outcome
 
 
 # Recursion in evaluated programs consumes fuel faster than Python stack
@@ -217,16 +210,16 @@ class _Evaluator:
 
     def charge(self, n: int = 1) -> None:
         if self.fuel < n:
-            raise _OutOfFuel
+            raise _Stop(FuelExhausted())
         self.fuel -= n
 
     def eval(self, e: Expr, env: Env) -> tuple[Value, Env]:
         if self.fuel < 1:
-            raise _OutOfFuel
+            raise _Stop(FuelExhausted())
         self.fuel -= 1
         self.depth += 1
         if self.depth > _MAX_DEPTH:
-            raise _TooDeep
+            raise _Stop(DepthExceeded(_MAX_DEPTH))
         try:
             rule = _RULES.get(type(e))
             if rule is None:
@@ -249,7 +242,7 @@ class _Evaluator:
     def _var(self, e: Var, env: Env) -> tuple[Value, Env]:
         v = env.get(e.name)
         if v is None:
-            raise _Fault(FaultKind.UNBOUND_VAR, e.pos)
+            raise _Stop(RuntimeFault(FaultKind.UNBOUND_VAR, e.pos))
         return v, env
 
     def _bop(self, e: Bop, env: Env) -> tuple[Value, Env]:
@@ -264,7 +257,7 @@ class _Evaluator:
     def _if(self, e: If, env: Env) -> tuple[Value, Env]:
         cv, _ = self.eval(e.cond, env)
         if not isinstance(cv, BoolV):
-            raise _Fault(FaultKind.NOT_A_BOOL, e.pos)
+            raise _Stop(RuntimeFault(FaultKind.NOT_A_BOOL, e.pos))
         v, _ = self.eval(e.then if cv.b else e.orelse, env)
         return v, env
 
@@ -275,7 +268,7 @@ class _Evaluator:
         while True:
             cv, _ = self.eval(cond, env)
             if not isinstance(cv, BoolV):
-                raise _Fault(FaultKind.NOT_A_BOOL, e.pos)
+                raise _Stop(RuntimeFault(FaultKind.NOT_A_BOOL, e.pos))
             if not cv.b:
                 return UNIT, env
             self.eval(body, env)
@@ -285,10 +278,10 @@ class _Evaluator:
         v1, _ = self.eval(e.start, env)
         v2, _ = self.eval(e.stop, env)
         if not isinstance(v1, IntV) or not isinstance(v2, IntV):
-            raise _Fault(FaultKind.NOT_AN_INT, e.pos)
+            raise _Stop(RuntimeFault(FaultKind.NOT_AN_INT, e.pos))
         a, b = v1.n, v2.n
         if a > b:
-            raise _Fault(FaultKind.FOR_BOUNDS_INVALID, e.pos)
+            raise _Stop(RuntimeFault(FaultKind.FOR_BOUNDS_INVALID, e.pos))
         # The recursive rule peels the upper bound: each level below the base
         # costs one application plus two bound evaluations.
         self.charge(3 * (b - a))
@@ -308,7 +301,7 @@ class _Evaluator:
         fv, _ = self.eval(e.fn, env)
         av, _ = self.eval(e.arg, env)
         if not isinstance(fv, ClosV):
-            raise _Fault(FaultKind.NOT_A_FUNCTION, e.pos)
+            raise _Stop(RuntimeFault(FaultKind.NOT_A_FUNCTION, e.pos))
         v, _ = self.eval(fv.body, {**fv.env, fv.param: av})
         return v, env
 
@@ -319,19 +312,19 @@ class _Evaluator:
     def _deref(self, e: Deref, env: Env) -> tuple[Value, Env]:
         lv = env.get(e.name)
         if lv is None:
-            raise _Fault(FaultKind.UNBOUND_VAR, e.pos)
+            raise _Stop(RuntimeFault(FaultKind.UNBOUND_VAR, e.pos))
         data = self.store.data
         if not isinstance(lv, LocV) or lv.loc not in data:
-            raise _Fault(FaultKind.NOT_A_LOC, e.pos)
+            raise _Stop(RuntimeFault(FaultKind.NOT_A_LOC, e.pos))
         return data[lv.loc], env
 
     def _assign(self, e: Assign, env: Env) -> tuple[Value, Env]:
         v, _ = self.eval(e.rhs, env)
         lv = env.get(e.name)
         if lv is None:
-            raise _Fault(FaultKind.UNBOUND_VAR, e.pos)
+            raise _Stop(RuntimeFault(FaultKind.UNBOUND_VAR, e.pos))
         if not isinstance(lv, LocV):
-            raise _Fault(FaultKind.NOT_A_LOC, e.pos)
+            raise _Stop(RuntimeFault(FaultKind.NOT_A_LOC, e.pos))
         self.store.data[lv.loc] = v
         return UNIT, env
 
@@ -341,9 +334,9 @@ class _Evaluator:
                 return BoolV(v1.n == v2.n)
             if isinstance(v1, BoolV) and isinstance(v2, BoolV):
                 return BoolV(v1.b == v2.b)
-            raise _Fault(FaultKind.NOT_AN_INT, e.pos)
+            raise _Stop(RuntimeFault(FaultKind.NOT_AN_INT, e.pos))
         if not isinstance(v1, IntV) or not isinstance(v2, IntV):
-            raise _Fault(FaultKind.NOT_AN_INT, e.pos)
+            raise _Stop(RuntimeFault(FaultKind.NOT_AN_INT, e.pos))
         a, b = v1.n, v2.n
         match op:
             case BinOp.ADD:
@@ -354,7 +347,7 @@ class _Evaluator:
                 return IntV(a * b)
             case BinOp.DIV:
                 if b == 0:
-                    raise _Fault(FaultKind.DIV_BY_ZERO, e.pos)
+                    raise _Stop(RuntimeFault(FaultKind.DIV_BY_ZERO, e.pos))
                 q = abs(a) // abs(b)  # truncate toward zero
                 return IntV(q if (a >= 0) == (b >= 0) else -q)
             case BinOp.LT:
@@ -381,12 +374,8 @@ def evaluate(e: Expr, env: Env, store: Store, fuel: int) -> Outcome:
     try:
         v, out_env = ev.eval(e, env)
         return Ok(v, State(out_env, ev.store))
-    except _Fault as f:
-        return RuntimeFault(f.kind, f.at)
-    except _OutOfFuel:
-        return FuelExhausted()
-    except _TooDeep:
-        return DepthExceeded(_MAX_DEPTH)
+    except _Stop as stop:
+        return stop.outcome
     finally:
         if sys.getrecursionlimit() != limit:
             sys.setrecursionlimit(limit)

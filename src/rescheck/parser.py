@@ -10,12 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
+    BINOP_LEVEL,
+    CMP_LEVEL,
     EMPTY,
     HIGH,
     LOW,
+    MUL_LEVEL,
     App,
     Assign,
-    BinOp,
     Bool,
     Bop,
     Deref,
@@ -86,9 +88,9 @@ def tokenize(source: str) -> list[Token]:
                 i += 1
                 col += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
             toks.append(Token("num", source[i:j], line, col))
             col += j - i
@@ -124,14 +126,10 @@ _ATOM_START = frozenset(
     ["num", "ident", "true", "false", "(", "!", "ref", "if", "while", "for", "{"]
 )
 
-_BOP_TOKENS = {
-    "+": BinOp.ADD,
-    "-": BinOp.SUB,
-    "*": BinOp.MUL,
-    "/": BinOp.DIV,
-    "==": BinOp.EQ,
-    "<": BinOp.LT,
-    ">": BinOp.GT,
+# The operators of each binding level, by token, from syntax.BINOP_LEVEL.
+_LEVEL_OPS = {
+    level: {op.value: op for op, at in BINOP_LEVEL.items() if at == level}
+    for level in set(BINOP_LEVEL.values())
 }
 
 
@@ -220,7 +218,7 @@ class _Parser:
             return Assign(name, self.parse_expr(), pos=p)
         if t.kind == "(" and self.peek(1).kind == "ident" and self.peek(2).kind == ":":
             return self.parse_func()
-        return self.parse_cmp()
+        return self.parse_binary(CMP_LEVEL)
 
     def parse_let(self) -> Expr:
         p = self.pos()
@@ -258,33 +256,19 @@ class _Parser:
         body = self.parse_expr()
         return Func(param, annot, body, pos=p)
 
-    def parse_cmp(self) -> Expr:
+    def parse_binary(self, level: int) -> Expr:
+        """Operators that bind at `level` or tighter: a left-associative
+        chain, or at the comparison level a single comparison."""
         p = self.pos()
-        lhs = self.parse_add()
-        t = self.peek()
-        if t.kind in ("==", "<", ">"):
+        e = self.parse_binary(level + 1) if level < MUL_LEVEL else self.parse_unary()
+        ops = _LEVEL_OPS[level]
+        while (op := ops.get(self.peek().kind)) is not None:
             self.advance()
             self.skip_newlines()
-            rhs = self.parse_add()
-            return Bop(_BOP_TOKENS[t.kind], lhs, rhs, pos=p)
-        return lhs
-
-    def parse_add(self) -> Expr:
-        p = self.pos()
-        e = self.parse_mul()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            self.skip_newlines()
-            e = Bop(_BOP_TOKENS[op.kind], e, self.parse_mul(), pos=p)
-        return e
-
-    def parse_mul(self) -> Expr:
-        p = self.pos()
-        e = self.parse_unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance()
-            self.skip_newlines()
-            e = Bop(_BOP_TOKENS[op.kind], e, self.parse_unary(), pos=p)
+            rhs = self.parse_binary(level + 1) if level < MUL_LEVEL else self.parse_unary()
+            e = Bop(op, e, rhs, pos=p)
+            if level == CMP_LEVEL:
+                break
         return e
 
     def parse_unary(self) -> Expr:
@@ -312,7 +296,7 @@ class _Parser:
         """Parse an if/while condition or for bound, where `{` starts the body."""
         self.no_block += 1
         try:
-            return self.parse_cmp()
+            return self.parse_binary(CMP_LEVEL)
         finally:
             self.no_block -= 1
 

@@ -269,8 +269,21 @@ class Assign(Expr):
 
 _SEQ, _STMT, _CMP, _ADD, _MUL, _UNARY, _APP, _ATOM = range(8)
 
-_CMP_OPS = (BinOp.EQ, BinOp.LT, BinOp.GT)
-_ADD_OPS = (BinOp.ADD, BinOp.SUB)
+# How binary operators bind: the level of each. A right operand sits one
+# level tighter than its operator; a left operand sits at the operator's own
+# level, so chains associate to the left, except that comparisons do not
+# chain and take both operands one level tighter. The parser reads this table
+# too.
+BINOP_LEVEL = {
+    BinOp.EQ: _CMP,
+    BinOp.LT: _CMP,
+    BinOp.GT: _CMP,
+    BinOp.ADD: _ADD,
+    BinOp.SUB: _ADD,
+    BinOp.MUL: _MUL,
+    BinOp.DIV: _MUL,
+}
+CMP_LEVEL, MUL_LEVEL = _CMP, _MUL
 
 
 def _prec(e: Expr) -> int:
@@ -280,11 +293,7 @@ def _prec(e: Expr) -> int:
         case Let() | Assign() | Func():
             return _STMT
         case Bop(op, _, _):
-            if op in _CMP_OPS:
-                return _CMP
-            if op in _ADD_OPS:
-                return _ADD
-            return _MUL
+            return BINOP_LEVEL[op]
         case App():
             return _APP
         case Num(literal) if literal.startswith("-"):
@@ -316,11 +325,9 @@ def _render(e: Expr, memo: dict[int, str] | None) -> str:
         case Var(name):
             return name
         case Bop(op, lhs, rhs):
-            if op in _CMP_OPS:
-                return f"{_fmt(lhs, _ADD, memo)} {op.value} {_fmt(rhs, _ADD, memo)}"
-            if op in _ADD_OPS:
-                return f"{_fmt(lhs, _ADD, memo)} {op.value} {_fmt(rhs, _MUL, memo)}"
-            return f"{_fmt(lhs, _MUL, memo)} {op.value} {_fmt(rhs, _UNARY, memo)}"
+            level = BINOP_LEVEL[op]
+            left = level + 1 if level == _CMP else level
+            return f"{_fmt(lhs, left, memo)} {op.value} {_fmt(rhs, level + 1, memo)}"
         case Let(name, annot, rhs):
             if annot is None:
                 return f"let {name} = {_fmt(rhs, _STMT, memo)}"

@@ -32,7 +32,7 @@ from rescheck import (
     run_suite,
 )
 from rescheck.cli import main
-from rescheck.interpreter import IntV, Ok, _Evaluator, _Fault, _OutOfFuel
+from rescheck.interpreter import DepthExceeded, IntV, Ok, _Evaluator, _Stop
 from rescheck.syntax import LOW, Bop, For, If, While, pretty
 
 import astgen
@@ -297,8 +297,9 @@ def test_criterion_6_interpreter_goldens():
             ev = _EnvAudit(state.store.copy(), cfg.fuel)
             try:
                 ev.eval(prog, dict(state.env))
-            except (_Fault, _OutOfFuel):
-                pass
+            except _Stop as stop:
+                # fuel and faults end a run; nesting too deep fails the test
+                assert not isinstance(stop.outcome, DepthExceeded), stop.outcome
     assert _EnvAudit.audited > 100, "generated runs must exercise the forms"
     _report("criterion 6 (interpreter goldens)", t0)
 

@@ -125,6 +125,14 @@ class TestRun:
         assert captured.out == ""
         assert captured.err == f"{path}: nesting too deep (limit 2500)\n"
 
+    def test_non_decimal_digit_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "sup.resc"
+        path.write_bytes("²".encode())
+        assert main(["run", str(path)]) == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}:1:1: parse error: unexpected character '²'\n"
+
     def test_unsafe_runtime_fault_without_types(self, src, capsys):
         assert main(["run", "--unsafe", src("true + 1")]) == EXIT_RUNTIME_FAULT
         assert "NotAnInt" in capsys.readouterr().err

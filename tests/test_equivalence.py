@@ -112,6 +112,33 @@ class TestClosures:
         assert stats.inconclusive_runs > 0
         assert stats.closure_pairs_sampled == 1
 
+    def test_ref_low_parameters_get_one_shared_content(self):
+        t = FunType(RefType(LOW), LOW, EMPTY)
+        c1 = ClosV(parse("!r"), "r", {})
+        assert veq(c1, ClosV(parse("!r + 0"), "r", {}), t)
+        assert not veq(c1, ClosV(parse("!r + 1"), "r", {}), t)
+        # the cells must still agree after the runs
+        assert not veq(ClosV(parse("r := 1; 0"), "r", {}), ClosV(parse("r := 2; 0"), "r", {}), t)
+
+    def test_ref_high_parameters_get_independent_contents(self):
+        c1 = ClosV(parse("!r"), "r", {})
+        c2 = ClosV(parse("!r + 0"), "r", {})
+        assert veq(c1, c2, FunType(RefType(HIGH), HIGH, EMPTY))
+        assert not veq(c1, c2, FunType(RefType(HIGH), LOW, EMPTY))
+
+    def test_function_parameters_get_the_canonical_closure(self):
+        # the identity inhabits (low -> low @ ()), so g 3 and 3 agree
+        t = FunType(FunType(LOW, LOW, EMPTY), LOW, EMPTY)
+        c1 = ClosV(parse("g 3"), "g", {})
+        assert veq(c1, ClosV(parse("3"), "g", {}), t)
+        assert not veq(c1, ClosV(parse("g 4"), "g", {}), t)
+
+    def test_function_parameters_without_a_canonical_closure_are_inconclusive(self):
+        t = FunType(FunType(LOW, HIGH, EMPTY), LOW, EMPTY)
+        stats = EquivStats()
+        assert veq(ClosV(parse("1"), "g", {}), ClosV(parse("2"), "g", {}), t, stats=stats)
+        assert stats.inconclusive_runs == EquivConfig.closure_samples
+
     def test_sampling_is_deterministic_in_the_seed(self):
         c1 = ClosV(parse("x + 1"), "x", {})
         c2 = ClosV(parse("x * 2"), "x", {})

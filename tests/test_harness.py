@@ -13,6 +13,7 @@ from rescheck import (
     CorpusReport,
     DepthExceeded,
     Discarded,
+    FunType,
     GenConfig,
     IntV,
     LocV,
@@ -20,6 +21,7 @@ from rescheck import (
     RefType,
     State,
     Store,
+    UnitV,
     Violation,
     check,
     gen_lowequiv_states,
@@ -197,6 +199,24 @@ class TestGenStates:
             elif name.startswith("ri"):
                 assert isinstance(v, LocV)
                 assert isinstance(s1.store.data[v.loc], IntV)
+
+    def test_hand_written_tenv_takes_the_fallbacks(self):
+        tenv = {
+            "rb0": RefType(LOW),
+            "b1": HIGH,
+            "f2": FunType(LOW, HIGH, EMPTY),  # no canonical closure
+            "u3": EMPTY,
+        }
+        highs = set()
+        for seed in range(20):
+            s1, s2 = gen_lowequiv_states(GenConfig(rng_seed=seed), tenv)
+            p1 = s1.store.data[s1.env["rb0"].loc]
+            assert isinstance(p1, BoolV) and p1 == s2.store.data[s2.env["rb0"].loc]
+            assert isinstance(s1.env["b1"], BoolV) and isinstance(s2.env["b1"], BoolV)
+            highs.add((s1.env["b1"], s2.env["b1"]))
+            assert s1.env["f2"] == s2.env["f2"] == ClosV(Num("0"), "x", {})
+            assert s1.env["u3"] == s2.env["u3"] == UnitV()
+        assert any(v1 != v2 for v1, v2 in highs)
 
     def test_function_bindings_share_one_closure(self):
         for seed in range(40):

@@ -264,6 +264,16 @@ class TestTokenizer:
         with pytest.raises(ParseError):
             tokenize("1 $ 2")
 
+    def test_numbers_are_decimal_digits_only(self):
+        # "²" is a digit to str.isdigit but not a decimal int() can read
+        with pytest.raises(ParseError) as exc:
+            tokenize("²")
+        assert (exc.value.line, exc.value.col) == (1, 1)
+        with pytest.raises(ParseError) as exc:
+            tokenize("1²")
+        assert (exc.value.line, exc.value.col) == (1, 2)
+        assert [(t.kind, t.text) for t in tokenize("٣")] == [("num", "٣"), ("eof", "")]
+
 
 class TestRoundTrip:
     def test_corpus_style_programs_round_trip(self):

@@ -34,6 +34,7 @@ from rescheck import (
     enumerate_types,
     is_base,
     is_effect,
+    parse,
     pretty,
     pretty_type,
     well_formed,
@@ -186,6 +187,30 @@ class TestPretty:
     def test_comparison_operands_wrap_nested_comparisons(self):
         e = Bop(BinOp.LT, Bop(BinOp.LT, Num("1"), Num("2")), Num("3"))
         assert pretty(e) == "(1 < 2) < 3"
+
+    # Tightness of each operator, written out apart from syntax.BINOP_LEVEL.
+    TIGHTNESS = {"==": 0, "<": 0, ">": 0, "+": 1, "-": 1, "*": 2, "/": 2}
+
+    @pytest.mark.parametrize("outer", list(BinOp), ids=lambda op: op.value)
+    def test_every_operator_pair_round_trips(self, outer):
+        # A nested operator needs parentheses when it binds looser than its
+        # parent, or as tightly on the right, or under a comparison, which
+        # does not chain.
+        for inner in BinOp:
+            nested = Bop(inner, Var("a"), Var("b"))
+            looser = self.TIGHTNESS[inner.value] < self.TIGHTNESS[outer.value]
+            same = self.TIGHTNESS[inner.value] == self.TIGHTNESS[outer.value]
+            comparison = self.TIGHTNESS[outer.value] == 0
+            text = f"a {inner.value} b"
+            for right in (False, True):
+                wrap = looser or (same and (right or comparison))
+                shown = f"({text})" if wrap else text
+                if right:
+                    e, want = Bop(outer, Var("c"), nested), f"c {outer.value} {shown}"
+                else:
+                    e, want = Bop(outer, nested, Var("c")), f"{shown} {outer.value} c"
+                assert pretty(e) == want
+                assert parse(want) == e
 
     def test_negative_literal_positions(self):
         # operator context re-parses bare, application context needs parens

@@ -2,8 +2,9 @@
 
 `bench/spans.py` replaces functions in rescheck's module namespaces by name;
 a refactor that renames or inlines one of them makes a traced benchmark run
-fail with `LookupError`. This installs the tracer, runs one trial of each
-suite under it, and checks that `restore()` puts every original back.
+fail with `LookupError`. These install the tracer, run each benchmark
+workload's kind of op under it, and check that `restore()` puts every
+original back and that every span the workload predicts was recorded.
 """
 
 import importlib.util
@@ -27,7 +28,9 @@ def namespaces():
     return [(m.__name__, dict(vars(m))) for m in mods] + [("_TRIAL_FNS", dict(harness._TRIAL_FNS))]
 
 
-def test_tracer_installs_and_restores_every_original():
+def traced(workload):
+    """Run `workload` under the tracer, check that `restore()` puts every
+    original back, and return the span names it recorded."""
     spans = load_spans()
     before = namespaces()
     tracer = spans.Tracer()
@@ -38,8 +41,7 @@ def test_tracer_installs_and_restores_every_original():
         for owner, attr, orig in patched:
             now = owner[attr] if isinstance(owner, dict) else getattr(owner, attr)
             assert now is not orig, attr
-        for suite in harness.SUITES:
-            run_suite(suite, GenConfig(rng_seed=1), trials=2)
+        workload()
     finally:
         tracer.restore()
     after = namespaces()
@@ -47,5 +49,23 @@ def test_tracer_installs_and_restores_every_original():
         assert old.keys() == new.keys(), name
         changed = [k for k in old if old[k] is not new[k]]
         assert changed == [], name
-    seen = {tracer.names[i] for i in tracer.name}
-    assert set(spans.PREDICTED_NONZERO["nitest"]) <= seen
+    return spans.PREDICTED_NONZERO, {tracer.names[i] for i in tracer.name}
+
+
+def test_tracer_installs_and_restores_every_original():
+    def nitest():
+        for suite in harness.SUITES:
+            run_suite(suite, GenConfig(rng_seed=1), trials=2)
+
+    predicted, seen = traced(nitest)
+    assert set(predicted["nitest"]) <= seen
+
+
+def test_cli_workloads_record_every_predicted_span(capsys):
+    """check-large runs `check --json` on a file and run-loops runs `run`."""
+    corpus = harness.default_corpus_dir()
+    predicted, seen = traced(lambda: cli.main(["check", "--json", str(corpus / "listing1.resc")]))
+    assert set(predicted["check-large"]) <= seen
+    predicted, seen = traced(lambda: cli.main(["run", str(corpus / "control_for.resc")]))
+    assert set(predicted["run-loops"]) <= seen
+    assert "value: 6" in capsys.readouterr().out
