@@ -24,7 +24,7 @@ from .interpreter import (
 )
 from .parser import ParseError, parse
 from .syntax import LOW, BinOp, Expr, SecType, display_type, pretty, pretty_type
-from .typechecker import CheckError, error_json, judgment_json, trace_check
+from .typechecker import CheckError, TraceFrame, error_json, judgment_json, trace_check
 
 EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
@@ -101,6 +101,11 @@ def ast_json(e: Expr) -> dict:
 # Subcommands -----------------------------------------------------------------
 
 
+def _print_trace(frames: list[TraceFrame], out) -> None:
+    for frame in frames:
+        print(f"  ({frame.rule}) {frame.expr}  =>  {frame.result}", file=out)
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     ast, code = _parse_source(args.file, args.json)
     if ast is None:
@@ -113,8 +118,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         else:
             print(f"{args.file}: type error: {err}", file=sys.stderr)
             if args.trace:
-                for frame in err.trace:
-                    print(f"  ({frame.rule}) {frame.expr}  =>  {frame.result}", file=sys.stderr)
+                _print_trace(err.trace, sys.stderr)
         return EXIT_TYPE_ERROR
     if args.json:
         _emit(judgment_json(judgment, trace if args.trace else None))
@@ -123,8 +127,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         for name, t in judgment.out_env.items():
             print(f"  {name} : {display_type(t)}")
         if args.trace:
-            for frame in trace:
-                print(f"  ({frame.rule}) {frame.expr}  =>  {frame.result}")
+            _print_trace(trace, sys.stdout)
     return EXIT_OK
 
 

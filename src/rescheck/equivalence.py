@@ -18,7 +18,6 @@ from typing import ClassVar
 from .interpreter import (
     BoolV,
     ClosV,
-    Env,
     IntV,
     LocV,
     Ok,

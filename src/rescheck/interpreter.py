@@ -85,11 +85,17 @@ UNIT = UnitV()
 
 Env = dict[str, Value]
 
+_BLOCK = 10**4000  # str() refuses an int of over 4,300 digits: pretty_value writes 4,000 at a time
+
 
 def pretty_value(v: Value) -> str:
     match v:
         case IntV(n):
-            return str(n)
+            head, blocks = abs(n), []
+            while head >= _BLOCK:
+                head, low = divmod(head, _BLOCK)
+                blocks.append(str(low).zfill(4000))
+            return "-" * (n < 0) + str(head) + "".join(reversed(blocks))
         case BoolV(b):
             return "true" if b else "false"
         case UnitV():

@@ -7,7 +7,8 @@ than any operator, so `f x + 1` is `(f x) + 1`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .syntax import (
     BINOP_LEVEL,
@@ -42,7 +43,13 @@ KEYWORDS = frozenset(
     ["let", "if", "else", "while", "for", "in", "to", "ref", "true", "false", "low", "high"]
 )
 
-_SYMBOLS = ["==", "=>", ":=", "->", "(", ")", "{", "}", ";", ":", "=", "<", ">", "+", "-", "*", "/", "!", "@"]
+MAX_DIGITS = 4300  # in an integer literal: CPython's default limit on int/str conversion
+
+# Alternatives are tried in order; tokenize refuses a word that starts with no letter (`_a`, `²`).
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|//[^\n]*|(?P<num>\d+)|(?P<word>\w+)"
+    r"|(?P<sym>==|=>|:=|->|[(){};:=<>+\-*/!@])|(?P<bad>.)"
+)
 
 
 class ParseError(Exception):
@@ -56,8 +63,7 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: {message}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'num', 'ident', a keyword, a symbol, 'newline' or 'eof'
     text: str
     line: int
@@ -66,59 +72,29 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     toks: list[Token] = []
-    i = 0
-    line, col = 1, 1
-    depth = 0  # parenthesis nesting; newlines inside parens are not separators
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
+    line, line_start, depth = 1, 0, 0  # depth: open parentheses, inside which newlines are blanks
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind is None:  # blanks or a comment
+            continue
+        text = m.group()
+        col = m.start() - line_start + 1
+        if kind == "newline":
             if depth == 0:
-                toks.append(Token("newline", "\n", line, col))
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if c.isdecimal():
-            j = i
-            while j < n and source[j].isdecimal():
-                j += 1
-            toks.append(Token("num", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            kind = word if word in KEYWORDS else "ident"
-            toks.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if source.startswith(sym, i):
-                if sym == "(":
-                    depth += 1
-                elif sym == ")":
-                    depth = max(0, depth - 1)
-                toks.append(Token(sym, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
+                toks.append(Token(kind, text, line, col))
+            line, line_start = line + 1, m.end()
+        elif kind == "num" and len(text) > MAX_DIGITS:
+            raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", line, col)
+        elif kind == "num":
+            toks.append(Token(kind, text, line, col))
+        elif kind == "word" and text[0].isalpha():
+            toks.append(Token(text if text in KEYWORDS else "ident", text, line, col))
+        elif kind == "sym":
+            depth = max(0, depth + (text == "(") - (text == ")"))
+            toks.append(Token(text, text, line, col))
         else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+            raise ParseError(f"unexpected character {text[0]!r}", line, col)
+    toks.append(Token("eof", "", line, len(source) - line_start + 1))
     return toks
 
 
@@ -408,26 +384,23 @@ class _Parser:
         raise ParseError(f"expected a type but found {t.text or t.kind!r}", t.line, t.col)
 
 
-def _decode(source: str | bytes) -> str:
+def _parser(source: str | bytes) -> _Parser:
     if isinstance(source, bytes):
         try:
-            return source.decode("utf-8")
+            source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"invalid UTF-8 input: {exc.reason}", 1, 1) from None
-    return source
+    return _Parser(tokenize(source))
 
 
 def parse(source: str | bytes) -> Expr:
     """Parse a program. Raises ParseError on any malformed input."""
-    text = _decode(source)
-    p = _Parser(tokenize(text))
-    return p.parse_program()
+    return _parser(source).parse_program()
 
 
 def parse_type(source: str | bytes) -> SecType:
     """Parse a type written in surface syntax, e.g. '(low -> high @ ())'."""
-    text = _decode(source)
-    p = _Parser(tokenize(text))
+    p = _parser(source)
     p.skip_newlines()
     t = p.parse_type()
     p.skip_newlines()

@@ -10,19 +10,17 @@ derivation path from the root to the failing rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .lattice import LatticeError, join, leq, meet
 from .syntax import (
     EMPTY,
-    HIGH,
     LOW,
     App,
     Assign,
     Bool,
     Bop,
     Deref,
-    Empty,
     Expr,
     For,
     Func,
@@ -90,26 +88,19 @@ class CheckError(Exception):
 class _Checker:
     def __init__(self) -> None:
         self.log: list[TraceFrame] = []
-        self.stack: list[TraceFrame] = []
         self.text: dict[int, str] = {}  # pretty's memo: each node's text, by id, for this check
 
     def fail(self, rule: str, condition: str, e: Expr) -> None:
-        frame = self.stack[-1]
-        frame.rule = rule
-        frame.result = f"failed: {condition}"
-        path = [TraceFrame(f.rule, f.expr, f.result) for f in self.stack]
+        path = [f for f in self.log if f.result is None]  # the rules in progress, root first
+        path[-1].rule, path[-1].result = rule, f"failed: {condition}"
         raise CheckError(rule, condition, e.pos, path)
 
     def check(self, env: TEnv, pc: SecType, e: Expr) -> Judgment:
         frame = TraceFrame(_rule_name(e), pretty(e, self.text))
         self.log.append(frame)
-        self.stack.append(frame)
-        try:
-            j = self._apply(frame, env, pc, e)
-            frame.result = j.summary()
-            return j
-        finally:
-            self.stack.pop()
+        j = self._apply(frame, env, pc, e)
+        frame.result = j.summary()
+        return j
 
     def _join(self, parts: list[SecType], rule: str, condition: str, e: Expr) -> SecType:
         try:

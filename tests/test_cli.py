@@ -133,6 +133,21 @@ class TestRun:
         assert captured.out == ""
         assert captured.err == f"{path}:1:1: parse error: unexpected character '²'\n"
 
+    def test_overlong_integer_literal_is_a_parse_error(self, src, capsys):
+        path = src("let x = " + "1" * 5000)
+        assert main(["run", path]) == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "parse error: integer literal longer than 4300 digits"
+        assert captured.err == f"{path}:1:9: {message}\n"
+
+    def test_prints_integers_of_any_length(self, src, capsys):
+        nines = "9" * 4000
+        assert main(["run", src(f"{nines} * {nines}")]) == EXIT_OK
+        # (10^4000 - 1)^2 = 10^8000 - 2 * 10^4000 + 1
+        expected = "9" * 3999 + "8" + "0" * 3999 + "1"
+        assert capsys.readouterr().out == f"value: {expected}\n"
+
     def test_unsafe_runtime_fault_without_types(self, src, capsys):
         assert main(["run", "--unsafe", src("true + 1")]) == EXIT_RUNTIME_FAULT
         assert "NotAnInt" in capsys.readouterr().err

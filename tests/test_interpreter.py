@@ -47,6 +47,9 @@ class TestValues:
         assert pretty_value(BoolV(True)) == "true"
         assert pretty_value(UnitV()) == "unit"
         assert pretty_value(LocV(2)) == "ℓ2"
+
+    def test_pretty_value_past_the_int_to_str_limit(self):
+        assert pretty_value(IntV(-(10**5000))) == "-1" + "0" * 5000
         assert pretty_value(ClosV(parse("x"), "x", {})).startswith("<fun ")
 
 

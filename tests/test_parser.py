@@ -274,6 +274,81 @@ class TestTokenizer:
         assert (exc.value.line, exc.value.col) == (1, 2)
         assert [(t.kind, t.text) for t in tokenize("٣")] == [("num", "٣"), ("eof", "")]
 
+    def test_integer_literals_have_at_most_4300_digits(self):
+        assert tokenize("1" * 4300)[0] == ("num", "1" * 4300, 1, 1)
+        with pytest.raises(ParseError) as exc:
+            tokenize("x\nx + " + "1" * 4301)
+        assert (exc.value.line, exc.value.col) == (2, 5)
+        assert exc.value.message == "integer literal longer than 4300 digits"
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("x²", [("ident", "x²", 1, 1), ("eof", "", 1, 3)]),
+            ("1²", (1, 2)),
+            ("_a", (1, 1)),
+            ("a_1", [("ident", "a_1", 1, 1), ("eof", "", 1, 4)]),
+            ("let1", [("ident", "let1", 1, 1), ("eof", "", 1, 5)]),
+            ("Ⅷ", (1, 1)),
+            ("½", (1, 1)),
+            ("é1", [("ident", "é1", 1, 1), ("eof", "", 1, 3)]),
+            ("\xa0", (1, 1)),
+            ("\f", (1, 1)),
+            ("a//c", [("ident", "a", 1, 1), ("eof", "", 1, 5)]),
+            (
+                "a//c\nb",
+                [
+                    ("ident", "a", 1, 1),
+                    ("newline", "\n", 1, 5),
+                    ("ident", "b", 2, 1),
+                    ("eof", "", 2, 2),
+                ],
+            ),
+            (
+                "a\r\nb",
+                [
+                    ("ident", "a", 1, 1),
+                    ("newline", "\n", 1, 3),
+                    ("ident", "b", 2, 1),
+                    ("eof", "", 2, 2),
+                ],
+            ),
+            (
+                "(a\nb)",
+                [
+                    ("(", "(", 1, 1),
+                    ("ident", "a", 1, 2),
+                    ("ident", "b", 2, 1),
+                    (")", ")", 2, 2),
+                    ("eof", "", 2, 3),
+                ],
+            ),
+            (
+                ")\nx",
+                [
+                    (")", ")", 1, 1),
+                    ("newline", "\n", 1, 2),
+                    ("ident", "x", 2, 1),
+                    ("eof", "", 2, 2),
+                ],
+            ),
+            ("==>", [("==", "==", 1, 1), (">", ">", 1, 3), ("eof", "", 1, 4)]),
+            (":==", [(":=", ":=", 1, 1), ("=", "=", 1, 3), ("eof", "", 1, 4)]),
+            ("->-", [("->", "->", 1, 1), ("-", "-", 1, 3), ("eof", "", 1, 4)]),
+            ("1x", [("num", "1", 1, 1), ("ident", "x", 1, 2), ("eof", "", 1, 3)]),
+        ],
+    )
+    def test_edge_cases(self, source, expected):
+        # A list is the (kind, text, line, col) of every token; a pair is
+        # where the "unexpected character" error points.
+        if isinstance(expected, list):
+            assert [(t.kind, t.text, t.line, t.col) for t in tokenize(source)] == expected
+        else:
+            with pytest.raises(ParseError) as exc:
+                tokenize(source)
+            assert (exc.value.line, exc.value.col) == expected
+            assert exc.value.message == f"unexpected character {source[expected[1] - 1]!r}"
+
 
 class TestRoundTrip:
     def test_corpus_style_programs_round_trip(self):
