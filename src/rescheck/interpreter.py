@@ -7,40 +7,30 @@ front and environments are extended copy-on-write, which keeps the caller's
 state intact; evaluating the same expression from equal states is fully
 deterministic.
 
-Dispatch is by node type: `_RULES` maps each concrete `Expr` class to the
-one `_Evaluator` method that implements its rule, and `_Evaluator.eval`
-charges one fuel, checks the nesting depth, then calls the rule for
-`type(e)`. Anything without a rule raises TypeError.
+A run compiles each node it reaches, once, into a closure `code(env) ->
+(value, env)`: one Python call per rule application. `_RULES` maps each
+`Expr` class to the `_Evaluator` method that compiles it, and anything else
+raises TypeError when compiled. An `If` branch is compiled when first taken,
+and a closure body at its first application.
 
 Nesting depth is its own outcome. Evaluation that nests deeper than
 `_MAX_DEPTH` rule applications ends in DepthExceeded, not FuelExhausted:
-running out of budget and running out of stack are different diagnoses.
+running out of budget and running out of stack are different diagnoses. Fuel
+is checked first. Compiling recurses too, so it stops at the same depth: a
+node `_MAX_DEPTH` levels down can only run that deep, and compiles to a stop.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from typing import NoReturn
 
 from .syntax import (
-    App,
-    Assign,
-    BinOp,
-    Bool,
-    Bop,
-    Deref,
-    Expr,
-    For,
-    Func,
-    If,
-    Let,
-    Num,
-    Pos,
-    Ref,
-    Seq,
-    Unit,
-    Var,
+    App, Assign, BinOp, Bool, Bop, Deref, Expr, For, Func, If, Let, Num, Pos, Ref, Seq, Unit, Var,
     While,
 )
 
@@ -85,16 +75,18 @@ UNIT = UnitV()
 
 Env = dict[str, Value]
 
-_BLOCK = 10**4000  # str() refuses an int of over 4,300 digits: pretty_value writes 4,000 at a time
-
 
 def pretty_value(v: Value) -> str:
     match v:
         case IntV(n):
-            head, blocks = abs(n), []
-            while head >= _BLOCK:
-                head, low = divmod(head, _BLOCK)
-                blocks.append(str(low).zfill(4000))
+            try:
+                return str(n)
+            except ValueError:  # more digits than this process lets str() convert at once
+                size = sys.get_int_max_str_digits()
+            block, head, blocks = 10**size, abs(n), []
+            while head >= block:
+                head, low = divmod(head, block)
+                blocks.append(str(low).zfill(size))
             return "-" * (n < 0) + str(head) + "".join(reversed(blocks))
         case BoolV(b):
             return "true" if b else "false"
@@ -207,160 +199,268 @@ class _Stop(Exception):
 # into DepthExceeded instead of crashing the host.
 _MAX_DEPTH = 2500
 
+Code = Callable[[Env], tuple[Value, Env]]
+
+
+def _div(a: int, b: int) -> int:
+    q = abs(a) // abs(b)  # truncate toward zero; ZeroDivisionError when b is 0
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+# Each operator on two integers, and the value its result is wrapped in. Only
+# == also takes two booleans.
+_OPS = {
+    BinOp.ADD: (operator.add, IntV),
+    BinOp.SUB: (operator.sub, IntV),
+    BinOp.MUL: (operator.mul, IntV),
+    BinOp.DIV: (_div, IntV),
+    BinOp.EQ: (operator.eq, BoolV),
+    BinOp.LT: (operator.lt, BoolV),
+    BinOp.GT: (operator.gt, BoolV),
+}
+
 
 class _Evaluator:
+    """One run's store and fuel, and the compiler of its code.
+
+    The program and each closure body are compile roots. A node `level` levels
+    below its root runs nested `base + level` deep, where `base` is how deep
+    the running root was entered, so its code checks `base` against a limit
+    fixed when it is compiled. Only an application moves `base`.
+
+    Each code starts with the same charge: the run stops when fuel is out or
+    the node is too deep, and one fuel is taken.
+    """
+
+    __slots__ = ("store", "fuel", "base", "bodies")
+
     def __init__(self, store: Store, fuel: int):
         self.store = store
         self.fuel = fuel
-        self.depth = 0
+        self.base = 0
+        self.bodies: dict[int, Code] = {}  # each closure body compiled, by id
 
-    def charge(self, n: int = 1) -> None:
-        if self.fuel < n:
-            raise _Stop(FuelExhausted())
-        self.fuel -= n
+    def stop(self, env: Env | None = None) -> NoReturn:
+        """End the run: out of fuel if none is left, else nested too deep."""
+        raise _Stop(FuelExhausted() if self.fuel < 1 else DepthExceeded(_MAX_DEPTH))
 
-    def eval(self, e: Expr, env: Env) -> tuple[Value, Env]:
-        if self.fuel < 1:
-            raise _Stop(FuelExhausted())
-        self.fuel -= 1
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            raise _Stop(DepthExceeded(_MAX_DEPTH))
-        try:
-            rule = _RULES.get(type(e))
-            if rule is None:
-                raise TypeError(f"not an Expr: {e!r}")
-            return rule(self, e, env)
-        finally:
-            self.depth -= 1
+    def compile(self, e: Expr, level: int = 0) -> Code:
+        """The code of `e`, a node `level` levels below its compile root."""
+        if level >= _MAX_DEPTH:
+            return self.stop  # it runs at least this deep, so its charge can only stop the run
+        rule = _RULES.get(type(e))
+        if rule is None:
+            raise TypeError(f"not an Expr: {e!r}")
+        return rule(self, e, level)
 
-    # One rule per node type: _RULES maps class Num to method _num, and so on.
+    # One compile rule per node type: _RULES maps class Num to method _num, and so on.
 
-    def _num(self, e: Num, env: Env) -> tuple[Value, Env]:
-        return IntV(int(e.literal)), env
+    def _leaf(self, v: Value, level: int) -> Code:
+        ev, limit = self, _MAX_DEPTH - level
 
-    def _bool(self, e: Bool, env: Env) -> tuple[Value, Env]:
-        return BoolV(e.value), env
+        def leaf(env: Env) -> tuple[Value, Env]:
+            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            ev.fuel -= 1
+            return v, env
+        return leaf
 
-    def _unit(self, e: Unit, env: Env) -> tuple[Value, Env]:
-        return UNIT, env
+    def _num(self, e: Num, level: int) -> Code:
+        return self._leaf(IntV(int(e.literal)), level)
 
-    def _var(self, e: Var, env: Env) -> tuple[Value, Env]:
-        v = env.get(e.name)
-        if v is None:
-            raise _Stop(RuntimeFault(FaultKind.UNBOUND_VAR, e.pos))
-        return v, env
+    def _bool(self, e: Bool, level: int) -> Code:
+        return self._leaf(BoolV(e.value), level)
 
-    def _bop(self, e: Bop, env: Env) -> tuple[Value, Env]:
-        v1, _ = self.eval(e.lhs, env)
-        v2, _ = self.eval(e.rhs, env)
-        return self._binop(e.op, v1, v2, e), env
+    def _unit(self, e: Unit, level: int) -> Code:
+        return self._leaf(UNIT, level)
 
-    def _let(self, e: Let, env: Env) -> tuple[Value, Env]:
-        v, _ = self.eval(e.rhs, env)
-        return UNIT, {**env, e.name: v}
+    def _var(self, e: Var, level: int) -> Code:
+        ev, limit, name, pos = self, _MAX_DEPTH - level, e.name, e.pos
 
-    def _if(self, e: If, env: Env) -> tuple[Value, Env]:
-        cv, _ = self.eval(e.cond, env)
-        if not isinstance(cv, BoolV):
-            raise _Stop(RuntimeFault(FaultKind.NOT_A_BOOL, e.pos))
-        v, _ = self.eval(e.then if cv.b else e.orelse, env)
-        return v, env
+        def var(env: Env) -> tuple[Value, Env]:
+            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            ev.fuel -= 1
+            if name in env:
+                return env[name], env
+            raise _Stop(RuntimeFault(FaultKind.UNBOUND_VAR, pos))
+        return var
 
-    def _while(self, e: While, env: Env) -> tuple[Value, Env]:
-        # Iterative form of the recursive rule; each unfolding of the loop is
-        # one more rule application, charged before its test.
-        cond, body = e.cond, e.body
-        while True:
-            cv, _ = self.eval(cond, env)
-            if not isinstance(cv, BoolV):
-                raise _Stop(RuntimeFault(FaultKind.NOT_A_BOOL, e.pos))
-            if not cv.b:
-                return UNIT, env
-            self.eval(body, env)
-            self.charge()
+    def _bop(self, e: Bop, level: int) -> Code:
+        ev, limit, pos, (op, wrap) = self, _MAX_DEPTH - level, e.pos, _OPS[e.op]
+        lhs, rhs = self.compile(e.lhs, level + 1), self.compile(e.rhs, level + 1)
 
-    def _for(self, e: For, env: Env) -> tuple[Value, Env]:
-        v1, _ = self.eval(e.start, env)
-        v2, _ = self.eval(e.stop, env)
-        if not isinstance(v1, IntV) or not isinstance(v2, IntV):
-            raise _Stop(RuntimeFault(FaultKind.NOT_AN_INT, e.pos))
-        a, b = v1.n, v2.n
-        if a > b:
-            raise _Stop(RuntimeFault(FaultKind.FOR_BOUNDS_INVALID, e.pos))
-        # The recursive rule peels the upper bound: each level below the base
-        # costs one application plus two bound evaluations.
-        self.charge(3 * (b - a))
-        x, body = e.var, e.body
-        for i in range(a, b + 1):
-            self.eval(body, {**env, x: IntV(i)})
-        return UNIT, env
-
-    def _seq(self, e: Seq, env: Env) -> tuple[Value, Env]:
-        _, env2 = self.eval(e.first, env)
-        return self.eval(e.second, env2)
-
-    def _func(self, e: Func, env: Env) -> tuple[Value, Env]:
-        return ClosV(e.body, e.param, env), env
-
-    def _app(self, e: App, env: Env) -> tuple[Value, Env]:
-        fv, _ = self.eval(e.fn, env)
-        av, _ = self.eval(e.arg, env)
-        if not isinstance(fv, ClosV):
-            raise _Stop(RuntimeFault(FaultKind.NOT_A_FUNCTION, e.pos))
-        v, _ = self.eval(fv.body, {**fv.env, fv.param: av})
-        return v, env
-
-    def _ref(self, e: Ref, env: Env) -> tuple[Value, Env]:
-        v, _ = self.eval(e.inner, env)
-        return LocV(self.store.alloc(v)), env
-
-    def _deref(self, e: Deref, env: Env) -> tuple[Value, Env]:
-        lv = env.get(e.name)
-        if lv is None:
-            raise _Stop(RuntimeFault(FaultKind.UNBOUND_VAR, e.pos))
-        data = self.store.data
-        if not isinstance(lv, LocV) or lv.loc not in data:
-            raise _Stop(RuntimeFault(FaultKind.NOT_A_LOC, e.pos))
-        return data[lv.loc], env
-
-    def _assign(self, e: Assign, env: Env) -> tuple[Value, Env]:
-        v, _ = self.eval(e.rhs, env)
-        lv = env.get(e.name)
-        if lv is None:
-            raise _Stop(RuntimeFault(FaultKind.UNBOUND_VAR, e.pos))
-        if not isinstance(lv, LocV):
-            raise _Stop(RuntimeFault(FaultKind.NOT_A_LOC, e.pos))
-        self.store.data[lv.loc] = v
-        return UNIT, env
-
-    def _binop(self, op: BinOp, v1: Value, v2: Value, e: Expr) -> Value:
-        if op is BinOp.EQ:
+        def bop(env: Env) -> tuple[Value, Env]:
+            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            ev.fuel -= 1
+            v1 = lhs(env)[0]
+            v2 = rhs(env)[0]
             if isinstance(v1, IntV) and isinstance(v2, IntV):
-                return BoolV(v1.n == v2.n)
-            if isinstance(v1, BoolV) and isinstance(v2, BoolV):
-                return BoolV(v1.b == v2.b)
-            raise _Stop(RuntimeFault(FaultKind.NOT_AN_INT, e.pos))
-        if not isinstance(v1, IntV) or not isinstance(v2, IntV):
-            raise _Stop(RuntimeFault(FaultKind.NOT_AN_INT, e.pos))
-        a, b = v1.n, v2.n
-        match op:
-            case BinOp.ADD:
-                return IntV(a + b)
-            case BinOp.SUB:
-                return IntV(a - b)
-            case BinOp.MUL:
-                return IntV(a * b)
-            case BinOp.DIV:
-                if b == 0:
-                    raise _Stop(RuntimeFault(FaultKind.DIV_BY_ZERO, e.pos))
-                q = abs(a) // abs(b)  # truncate toward zero
-                return IntV(q if (a >= 0) == (b >= 0) else -q)
-            case BinOp.LT:
-                return BoolV(a < b)
-            case BinOp.GT:
-                return BoolV(a > b)
-        raise AssertionError(op)
+                try:
+                    return wrap(op(v1.n, v2.n)), env
+                except ZeroDivisionError:
+                    raise _Stop(RuntimeFault(FaultKind.DIV_BY_ZERO, pos))
+            if op is operator.eq and isinstance(v1, BoolV) and isinstance(v2, BoolV):
+                return BoolV(v1.b == v2.b), env
+            raise _Stop(RuntimeFault(FaultKind.NOT_AN_INT, pos))
+        return bop
+
+    def _let(self, e: Let, level: int) -> Code:
+        ev, limit, name = self, _MAX_DEPTH - level, e.name
+        rhs = self.compile(e.rhs, level + 1)
+
+        def let(env: Env) -> tuple[Value, Env]:
+            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            ev.fuel -= 1
+            return UNIT, {**env, name: rhs(env)[0]}
+        return let
+
+    def _if(self, e: If, level: int) -> Code:
+        # A branch is compiled the first time it is taken: most never are.
+        ev, limit, pos = self, _MAX_DEPTH - level, e.pos
+        cond, then, orelse = self.compile(e.cond, level + 1), None, None
+
+        def if_(env: Env) -> tuple[Value, Env]:
+            nonlocal then, orelse
+            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            ev.fuel -= 1
+            cv = cond(env)[0]
+            if not isinstance(cv, BoolV):
+                raise _Stop(RuntimeFault(FaultKind.NOT_A_BOOL, pos))
+            if cv.b:
+                then = then or ev.compile(e.then, level + 1)
+                return then(env)[0], env
+            orelse = orelse or ev.compile(e.orelse, level + 1)
+            return orelse(env)[0], env
+        return if_
+
+    def _while(self, e: While, level: int) -> Code:
+        ev, limit, pos = self, _MAX_DEPTH - level, e.pos
+        cond, body = self.compile(e.cond, level + 1), self.compile(e.body, level + 1)
+
+        def while_(env: Env) -> tuple[Value, Env]:
+            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            ev.fuel -= 1
+            # Iterative form of the recursive rule; each unfolding of the loop
+            # is one more rule application, charged after its body.
+            while True:
+                cv = cond(env)[0]
+                if not isinstance(cv, BoolV):
+                    raise _Stop(RuntimeFault(FaultKind.NOT_A_BOOL, pos))
+                if not cv.b:
+                    return UNIT, env
+                body(env)
+                if ev.fuel < 1:
+                    ev.stop()
+                ev.fuel -= 1
+        return while_
+
+    def _for(self, e: For, level: int) -> Code:
+        ev, limit, pos, x = self, _MAX_DEPTH - level, e.pos, e.var
+        start, stop = self.compile(e.start, level + 1), self.compile(e.stop, level + 1)
+        body = self.compile(e.body, level + 1)
+
+        def for_(env: Env) -> tuple[Value, Env]:
+            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            ev.fuel -= 1
+            v1 = start(env)[0]
+            v2 = stop(env)[0]
+            if not isinstance(v1, IntV) or not isinstance(v2, IntV):
+                raise _Stop(RuntimeFault(FaultKind.NOT_AN_INT, pos))
+            a, b = v1.n, v2.n
+            if a > b:
+                raise _Stop(RuntimeFault(FaultKind.FOR_BOUNDS_INVALID, pos))
+            # The recursive rule peels the upper bound: each level below the
+            # base costs one application plus two bound evaluations.
+            if ev.fuel < 3 * (b - a):
+                raise _Stop(FuelExhausted())
+            ev.fuel -= 3 * (b - a)
+            for i in range(a, b + 1):
+                body({**env, x: IntV(i)})
+            return UNIT, env
+        return for_
+
+    def _seq(self, e: Seq, level: int) -> Code:
+        ev, limit = self, _MAX_DEPTH - level
+        first, second = self.compile(e.first, level + 1), self.compile(e.second, level + 1)
+
+        def seq(env: Env) -> tuple[Value, Env]:
+            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            ev.fuel -= 1
+            return second(first(env)[1])
+        return seq
+
+    def _func(self, e: Func, level: int) -> Code:
+        ev, limit, body, param = self, _MAX_DEPTH - level, e.body, e.param
+
+        def func(env: Env) -> tuple[Value, Env]:
+            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            ev.fuel -= 1
+            return ClosV(body, param, env), env
+        return func
+
+    def _app(self, e: App, level: int) -> Code:
+        # A closure body is compiled at its first application in the run. Each
+        # body is part of the program or of the input state, which outlive the
+        # run, so no other body takes its id.
+        ev, limit, pos, bodies = self, _MAX_DEPTH - level, e.pos, self.bodies
+        fn, arg = self.compile(e.fn, level + 1), self.compile(e.arg, level + 1)
+
+        def app(env: Env) -> tuple[Value, Env]:
+            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            ev.fuel -= 1
+            fv = fn(env)[0]
+            av = arg(env)[0]
+            if not isinstance(fv, ClosV):
+                raise _Stop(RuntimeFault(FaultKind.NOT_A_FUNCTION, pos))
+            code = bodies.get(id(fv.body))
+            if code is None:
+                code = bodies[id(fv.body)] = ev.compile(fv.body)
+            base = ev.base
+            ev.base = base + level + 1  # the body is one level below this node
+            v = code({**fv.env, fv.param: av})[0]
+            ev.base = base
+            return v, env
+        return app
+
+    def _ref(self, e: Ref, level: int) -> Code:
+        ev, limit, store = self, _MAX_DEPTH - level, self.store
+        inner = self.compile(e.inner, level + 1)
+
+        def ref(env: Env) -> tuple[Value, Env]:
+            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            ev.fuel -= 1
+            return LocV(store.alloc(inner(env)[0])), env
+        return ref
+
+    def _deref(self, e: Deref, level: int) -> Code:
+        ev, limit, data, name, pos = self, _MAX_DEPTH - level, self.store.data, e.name, e.pos
+
+        def deref(env: Env) -> tuple[Value, Env]:
+            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            ev.fuel -= 1
+            lv = env.get(name)
+            if lv is None:
+                raise _Stop(RuntimeFault(FaultKind.UNBOUND_VAR, pos))
+            if not isinstance(lv, LocV) or lv.loc not in data:
+                raise _Stop(RuntimeFault(FaultKind.NOT_A_LOC, pos))
+            return data[lv.loc], env
+        return deref
+
+    def _assign(self, e: Assign, level: int) -> Code:
+        ev, limit, data, name, pos = self, _MAX_DEPTH - level, self.store.data, e.name, e.pos
+        rhs = self.compile(e.rhs, level + 1)
+
+        def assign(env: Env) -> tuple[Value, Env]:
+            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            ev.fuel -= 1
+            v = rhs(env)[0]
+            lv = env.get(name)
+            if lv is None:
+                raise _Stop(RuntimeFault(FaultKind.UNBOUND_VAR, pos))
+            if not isinstance(lv, LocV):
+                raise _Stop(RuntimeFault(FaultKind.NOT_A_LOC, pos))
+            data[lv.loc] = v
+            return UNIT, env
+        return assign
 
 
 _RULES = {
@@ -378,7 +478,7 @@ def evaluate(e: Expr, env: Env, store: Store, fuel: int) -> Outcome:
     if limit < 4 * _MAX_DEPTH:
         sys.setrecursionlimit(4 * _MAX_DEPTH)
     try:
-        v, out_env = ev.eval(e, env)
+        v, out_env = ev.compile(e)(env)
         return Ok(v, State(out_env, ev.store))
     except _Stop as stop:
         return stop.outcome
@@ -393,23 +493,7 @@ def run_program(e: Expr, fuel: int) -> Outcome:
 
 
 __all__ = [
-    "BoolV",
-    "ClosV",
-    "DepthExceeded",
-    "Env",
-    "FaultKind",
-    "FuelExhausted",
-    "IntV",
-    "LocV",
-    "Ok",
-    "Outcome",
-    "RuntimeFault",
-    "State",
-    "Store",
-    "UnitV",
-    "Value",
-    "evaluate",
-    "fresh_loc",
-    "pretty_value",
-    "run_program",
+    "BoolV", "ClosV", "DepthExceeded", "Env", "FaultKind", "FuelExhausted", "IntV", "LocV",
+    "Ok", "Outcome", "RuntimeFault", "State", "Store", "UnitV", "Value",
+    "evaluate", "fresh_loc", "pretty_value", "run_program",
 ]

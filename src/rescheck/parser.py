@@ -8,6 +8,7 @@ than any operator, so `f x + 1` is `(f x) + 1`.
 from __future__ import annotations
 
 import re
+import sys
 from typing import NamedTuple
 
 from .syntax import (
@@ -43,7 +44,9 @@ KEYWORDS = frozenset(
     ["let", "if", "else", "while", "for", "in", "to", "ref", "true", "false", "low", "high"]
 )
 
-MAX_DIGITS = 4300  # in an integer literal: CPython's default limit on int/str conversion
+# The most digits int() converts in this process, which bounds an integer
+# literal; 0 means no limit, as on Pythons before 3.10.7.
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 # Alternatives are tried in order; tokenize refuses a word that starts with no letter (`_a`, `²`).
 _TOKEN = re.compile(
@@ -73,6 +76,7 @@ class Token(NamedTuple):
 def tokenize(source: str) -> list[Token]:
     toks: list[Token] = []
     line, line_start, depth = 1, 0, 0  # depth: open parentheses, inside which newlines are blanks
+    max_digits = _digit_limit()
     for m in _TOKEN.finditer(source):
         kind = m.lastgroup
         if kind is None:  # blanks or a comment
@@ -83,8 +87,8 @@ def tokenize(source: str) -> list[Token]:
             if depth == 0:
                 toks.append(Token(kind, text, line, col))
             line, line_start = line + 1, m.end()
-        elif kind == "num" and len(text) > MAX_DIGITS:
-            raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", line, col)
+        elif kind == "num" and max_digits and len(text) > max_digits:
+            raise ParseError(f"integer literal longer than {max_digits} digits", line, col)
         elif kind == "num":
             toks.append(Token(kind, text, line, col))
         elif kind == "word" and text[0].isalpha():

@@ -48,6 +48,10 @@ from .syntax import (
 TEnv = dict[str, SecType]
 
 
+def _summary(ty: SecType, effect: SecType) -> str:
+    return f"{display_type(ty)} @ {display_type(effect)}"
+
+
 @dataclass(frozen=True)
 class Judgment:
     ty: SecType
@@ -55,16 +59,28 @@ class Judgment:
     out_env: TEnv
 
     def summary(self) -> str:
-        return f"{display_type(self.ty)} @ {display_type(self.effect)}"
+        return _summary(self.ty, self.effect)
 
 
 @dataclass
 class TraceFrame:
-    """One rule application: which rule, on what, and how it came out."""
+    """One rule application: which rule, on what, and how it came out.
+
+    A frame keeps the judgment's type and effect, not its environment, and
+    renders them only when `result` is read.
+    """
 
     rule: str
     expr: str
-    result: str | None = None
+    judged: tuple[SecType, SecType] | None = None  # set when the rule holds
+    failed: str | None = None  # the side condition that failed
+
+    @property
+    def result(self) -> str | None:
+        """None while the rule is in progress."""
+        if self.failed is not None:
+            return f"failed: {self.failed}"
+        return None if self.judged is None else _summary(*self.judged)
 
 
 class CheckError(Exception):
@@ -91,15 +107,15 @@ class _Checker:
         self.text: dict[int, str] = {}  # pretty's memo: each node's text, by id, for this check
 
     def fail(self, rule: str, condition: str, e: Expr) -> None:
-        path = [f for f in self.log if f.result is None]  # the rules in progress, root first
-        path[-1].rule, path[-1].result = rule, f"failed: {condition}"
+        path = [f for f in self.log if f.judged is None]  # the rules in progress, root first
+        path[-1].rule, path[-1].failed = rule, condition
         raise CheckError(rule, condition, e.pos, path)
 
     def check(self, env: TEnv, pc: SecType, e: Expr) -> Judgment:
         frame = TraceFrame(_rule_name(e), pretty(e, self.text))
         self.log.append(frame)
         j = self._apply(frame, env, pc, e)
-        frame.result = j.summary()
+        frame.judged = j.ty, j.effect
         return j
 
     def _join(self, parts: list[SecType], rule: str, condition: str, e: Expr) -> SecType:

@@ -260,17 +260,23 @@ def test_criterion_5_parser_round_trip_and_fuzz():
 
 
 class _EnvAudit(_Evaluator):
-    """Evaluator that checks env restoration on every rule application."""
+    """Evaluator whose code checks env restoration on every rule application."""
 
     forms = (If, While, For, Bop)
     audited = 0
 
-    def eval(self, e, env):
-        v, out_env = super().eval(e, env)
-        if isinstance(e, self.forms):
+    def compile(self, e, level=0):
+        code = super().compile(e, level)
+        if not isinstance(e, self.forms):
+            return code
+
+        def audited(env):
+            v, out_env = code(env)
             assert out_env == env, f"{type(e).__name__} leaked bindings"
             _EnvAudit.audited += 1
-        return v, out_env
+            return v, out_env
+
+        return audited
 
 
 def test_criterion_6_interpreter_goldens():
@@ -296,7 +302,7 @@ def test_criterion_6_interpreter_goldens():
         for state in (s1, s2):
             ev = _EnvAudit(state.store.copy(), cfg.fuel)
             try:
-                ev.eval(prog, dict(state.env))
+                ev.compile(prog)(dict(state.env))
             except _Stop as stop:
                 # fuel and faults end a run; nesting too deep fails the test
                 assert not isinstance(stop.outcome, DepthExceeded), stop.outcome

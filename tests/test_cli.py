@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,12 @@ from rescheck.cli import (
     ast_json,
     main,
 )
+import rescheck
 from rescheck import parse
+
+_SRC = os.pathsep.join(
+    filter(None, [str(Path(rescheck.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")])
+)
 
 ALIASING = "let l = ref(2)\nlet h = l\nh := 4\n!l"
 HIGH_INTO_LOW = "let l = ref(2)\nlet h: high = 4\nl := h"
@@ -125,6 +133,13 @@ class TestRun:
         assert captured.out == ""
         assert captured.err == f"{path}: nesting too deep (limit 2500)\n"
 
+    def test_straight_line_code_past_the_depth_limit(self, src, capsys):
+        path = src("\n".join(f"let x{i} = {i}" for i in range(6000)) + "\nx0")
+        assert main(["run", "--unsafe", path]) == EXIT_DEPTH_EXCEEDED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: nesting too deep (limit 2500)\n"
+
     def test_non_decimal_digit_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "sup.resc"
         path.write_bytes("²".encode())
@@ -147,6 +162,28 @@ class TestRun:
         # (10^4000 - 1)^2 = 10^8000 - 2 * 10^4000 + 1
         expected = "9" * 3999 + "8" + "0" * 3999 + "1"
         assert capsys.readouterr().out == f"value: {expected}\n"
+
+    @pytest.mark.parametrize(
+        "text, code, out, err",
+        [
+            ("1" * 1000, EXIT_PARSE_ERROR, "", "1:1: parse error: integer literal longer than 640 digits\n"),
+            # (10^500 - 1)^2 = 10^1000 - 2 * 10^500 + 1
+            (f"let x = {'9' * 500}\nx * x", EXIT_OK, f"value: {'9' * 499}8{'0' * 499}1\n", ""),
+        ],
+        ids=["overlong literal", "long product"],
+    )
+    def test_integer_digits_follow_the_process_limit(self, src, text, code, out, err):
+        path = src(text)
+        env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640", "PYTHONPATH": _SRC}
+        done = subprocess.run(
+            [sys.executable, "-m", "rescheck.cli", "run", path],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (code, out)
+        assert done.stderr == (f"{path}:{err}" if err else "")
 
     def test_unsafe_runtime_fault_without_types(self, src, capsys):
         assert main(["run", "--unsafe", src("true + 1")]) == EXIT_RUNTIME_FAULT

@@ -287,6 +287,40 @@ class TestFuel:
         src = "let w = (f: low) => f f\nw w"
         assert isinstance(run(src, fuel=2_000), FuelExhausted)
 
+    def test_a_chain_far_past_the_limit_is_depth_not_a_crash(self):
+        e = syntax.Num("0")
+        for _ in range(20_000):
+            e = syntax.Bop(syntax.BinOp.ADD, e, syntax.Num("1"))
+        assert evaluate(e, {}, Store(), 100_000) == DepthExceeded(2500)
+
+    @pytest.mark.parametrize(
+        "src, fuel, outcome",
+        [
+            # 2,499 additions nest exactly 2,500 deep and apply 4,999 rules
+            ("0" + " + 1" * 2499, 4998, FuelExhausted),
+            ("0" + " + 1" * 2499, 4999, Ok),
+            # one more addition puts its innermost literal past the limit
+            ("0" + " + 1" * 2500, 2500, FuelExhausted),
+            ("0" + " + 1" * 2500, 2501, DepthExceeded),
+            ("\n".join(f"let x{i} = {i}" for i in range(2498)) + "\nx0", 7494, FuelExhausted),
+            ("\n".join(f"let x{i} = {i}" for i in range(2498)) + "\nx0", 7495, Ok),
+            ("\n".join(f"let x{i} = {i}" for i in range(2499)) + "\nx0", 7496, FuelExhausted),
+            ("\n".join(f"let x{i} = {i}" for i in range(2499)) + "\nx0", 7497, DepthExceeded),
+            ("let w = (f: low) => f f\nw w", 7498, FuelExhausted),
+            ("let w = (f: low) => f f\nw w", 7499, DepthExceeded),
+        ],
+        ids=[
+            "2499-adds-fuel", "2499-adds-ok", "2500-adds-fuel", "2500-adds-depth",
+            "2498-lets-fuel", "2498-lets-ok", "2499-lets-fuel", "2499-lets-depth",
+            "self-app-fuel", "self-app-depth",
+        ],
+    )
+    def test_outcomes_at_the_depth_boundary(self, src, fuel, outcome):
+        out = run(src, fuel=fuel)
+        assert type(out) is outcome
+        if outcome is DepthExceeded:
+            assert out == DepthExceeded(2500)
+
 
 class TestDispatch:
     def concrete_exprs(self):
@@ -312,6 +346,24 @@ class TestDispatch:
         with pytest.raises(TypeError) as err:
             evaluate(e, {}, Store(), 10)
         assert str(err.value) == f"not an Expr: {e!r}"
+
+
+class TestCompile:
+    def test_a_closure_body_compiles_once_per_run(self):
+        body = parse("x * 2 + 1")
+        compiled = []
+
+        class Counting(interpreter._Evaluator):
+            def compile(self, e, level=0):
+                if e is body:
+                    compiled.append(level)
+                return super().compile(e, level)
+
+        ev = Counting(Store({0: IntV(0)}), 100_000)
+        code = ev.compile(parse("for i in 1 to 1000 { r := !r + f i }"))
+        code({"f": ClosV(body, "x", {}), "r": LocV(0)})
+        assert ev.store.data[0] == IntV(sum(2 * i + 1 for i in range(1, 1001)))
+        assert compiled == [0]
 
 
 class TestRunProgram:
