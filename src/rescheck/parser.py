@@ -1,4 +1,5 @@
-"""Lexer and recursive-descent parser for the surface language.
+"""Lexer and parser for the surface language: recursive descent for
+statements, precedence climbing for binary operators.
 
 Statements are separated by newlines or semicolons; newlines inside
 parentheses are ignored. Application is juxtaposition and binds tighter
@@ -17,7 +18,6 @@ from .syntax import (
     EMPTY,
     HIGH,
     LOW,
-    MUL_LEVEL,
     App,
     Assign,
     Bool,
@@ -106,11 +106,8 @@ _ATOM_START = frozenset(
     ["num", "ident", "true", "false", "(", "!", "ref", "if", "while", "for", "{"]
 )
 
-# The operators of each binding level, by token, from syntax.BINOP_LEVEL.
-_LEVEL_OPS = {
-    level: {op.value: op for op, at in BINOP_LEVEL.items() if at == level}
-    for level in set(BINOP_LEVEL.values())
-}
+# Each binary operator by its token; syntax.BINOP_LEVEL gives its level.
+_BINOPS = {op.value: op for op in BINOP_LEVEL}
 
 
 class _Parser:
@@ -124,8 +121,9 @@ class _Parser:
     # -- token helpers ------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        j = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[j]
+        if not ahead:
+            return self.toks[self.i]  # advance never moves past the final eof
+        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
 
     def advance(self) -> Token:
         t = self.toks[self.i]
@@ -236,28 +234,23 @@ class _Parser:
         body = self.parse_expr()
         return Func(param, annot, body, pos=p)
 
-    def parse_binary(self, level: int) -> Expr:
-        """Operators that bind at `level` or tighter: a left-associative
-        chain, or at the comparison level a single comparison."""
+    def parse_binary(self, min_level: int) -> Expr:
+        """Operators that bind at `min_level` or tighter, by precedence
+        climbing: a chain associates to the left, its right operands bind one
+        level tighter, and a comparison ends the chain, so comparisons do
+        not chain."""
         p = self.pos()
-        e = self.parse_binary(level + 1) if level < MUL_LEVEL else self.parse_unary()
-        ops = _LEVEL_OPS[level]
-        while (op := ops.get(self.peek().kind)) is not None:
+        e = self.parse_operand()
+        while (op := _BINOPS.get(self.peek().kind)) is not None:
+            level = BINOP_LEVEL[op]
+            if level < min_level:
+                break
             self.advance()
             self.skip_newlines()
-            rhs = self.parse_binary(level + 1) if level < MUL_LEVEL else self.parse_unary()
-            e = Bop(op, e, rhs, pos=p)
+            e = Bop(op, e, self.parse_binary(level + 1), pos=p)
             if level == CMP_LEVEL:
                 break
         return e
-
-    def parse_unary(self) -> Expr:
-        t = self.peek()
-        if t.kind == "-":
-            self.advance()
-            num = self.expect("num")
-            return Num("-" + num.text, pos=Pos(t.line, t.col))
-        return self.parse_app()
 
     def _at_atom(self) -> bool:
         k = self.peek().kind
@@ -265,7 +258,14 @@ class _Parser:
             return False
         return k in _ATOM_START
 
-    def parse_app(self) -> Expr:
+    def parse_operand(self) -> Expr:
+        """An operator's operand: a negative literal, or an application,
+        which folds juxtaposed atoms to the left."""
+        t = self.peek()
+        if t.kind == "-":
+            self.advance()
+            num = self.expect("num")
+            return Num("-" + num.text, pos=Pos(t.line, t.col))
         e = self.parse_atom()
         while self._at_atom():
             arg = self.parse_atom()

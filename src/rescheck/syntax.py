@@ -283,7 +283,7 @@ BINOP_LEVEL = {
     BinOp.MUL: _MUL,
     BinOp.DIV: _MUL,
 }
-CMP_LEVEL, MUL_LEVEL = _CMP, _MUL
+CMP_LEVEL = _CMP
 
 
 def _prec(e: Expr) -> int:
@@ -359,11 +359,22 @@ def _render(e: Expr, memo: dict[int, str] | None) -> str:
     raise TypeError(f"not an Expr: {e!r}")
 
 
+def pretty_line(e: Expr, memo: dict[int, str] | None) -> str:
+    """The text of `e` as one top-level statement: one line of `pretty`'s
+    output for a sequence whose `first` is `e`."""
+    return _fmt(e, _STMT, memo)
+
+
 def pretty(e: Expr, memo: dict[int, str] | None = None) -> str:
     """Render an expression as parseable source.
 
     Top-level sequences print one statement per line; nested sequences use
     semicolons. parse(pretty(e)) reconstructs e exactly (positions aside).
+    A top-level spine is walked with a loop, not recursion: the text is the
+    newline-joined `pretty_line` of each `first` along the chain of
+    `second`s, then of the last `second`. So for every `Seq(first, second)`,
+    `pretty(second)` is the suffix of `pretty(Seq)` that follows
+    `pretty_line(first)` and one newline.
 
     `memo` lets a caller that renders many subtrees of one tree, such as the
     type checker writing a trace frame for every node, render each node only
@@ -371,6 +382,9 @@ def pretty(e: Expr, memo: dict[int, str] | None = None) -> str:
     tree that stays alive for as long as the memo is used (one check).
     Without it, every call renders its whole subtree afresh.
     """
-    if isinstance(e, Seq):
-        return _fmt(e.first, _STMT, memo) + "\n" + pretty(e.second, memo)
-    return _fmt(e, _STMT, memo)
+    lines = []
+    while isinstance(e, Seq):
+        lines.append(_fmt(e.first, _STMT, memo))
+        e = e.second
+    lines.append(_fmt(e, _STMT, memo))
+    return "\n".join(lines)

@@ -41,6 +41,7 @@ from .syntax import (
     display_type,
     is_base,
     pretty,
+    pretty_line,
     pretty_type,
     well_formed,
 )
@@ -66,14 +67,24 @@ class Judgment:
 class TraceFrame:
     """One rule application: which rule, on what, and how it came out.
 
-    A frame keeps the judgment's type and effect, not its environment, and
-    renders them only when `result` is read.
+    The expression's source text is `text[start:]`, sliced only when `expr`
+    is read. A sequence's `second` is printed as the tail of the sequence's
+    own text (see `pretty`), so the frames down a chain of statements share
+    their first frame's `text` and differ only in `start`; every other frame
+    has its own text and `start` 0. A frame keeps the judgment's type and
+    effect, not its environment, and renders them only when `result` is
+    read.
     """
 
     rule: str
-    expr: str
+    text: str
+    start: int = 0
     judged: tuple[SecType, SecType] | None = None  # set when the rule holds
     failed: str | None = None  # the side condition that failed
+
+    @property
+    def expr(self) -> str:
+        return self.text[self.start:] if self.start else self.text
 
     @property
     def result(self) -> str | None:
@@ -111,8 +122,14 @@ class _Checker:
         path[-1].rule, path[-1].failed = rule, condition
         raise CheckError(rule, condition, e.pos, path)
 
-    def check(self, env: TEnv, pc: SecType, e: Expr) -> Judgment:
-        frame = TraceFrame(_rule_name(e), pretty(e, self.text))
+    def check(
+        self, env: TEnv, pc: SecType, e: Expr, text: str | None = None, start: int = 0
+    ) -> Judgment:
+        """Apply e's rule. `text` and `start` give e's source text as a
+        slice of a text already built; without them it is rendered."""
+        if text is None:
+            text = pretty(e, self.text)
+        frame = TraceFrame(_rule_name(e), text, start)
         self.log.append(frame)
         j = self._apply(frame, env, pc, e)
         frame.judged = j.ty, j.effect
@@ -221,7 +238,8 @@ class _Checker:
 
             case Seq(first, second):
                 j1 = self.check(env, pc, first)
-                j2 = self.check(j1.out_env, pc, second)
+                start = frame.start + len(pretty_line(first, self.text)) + 1
+                j2 = self.check(j1.out_env, pc, second, frame.text, start)
                 return Judgment(j2.ty, meet([j1.effect, j2.effect]), j2.out_env)
 
             case Func(x, annot, body):

@@ -31,6 +31,7 @@ from rescheck import (
     pretty_type,
     tokenize,
 )
+from rescheck.cli import ast_json
 
 
 class TestAtoms:
@@ -90,6 +91,70 @@ class TestOperators:
         assert parse("2 * -3") == Bop(BinOp.MUL, Num("2"), Num("-3"))
         with pytest.raises(ParseError):
             parse("-x")
+
+
+def brief(j: dict) -> str:
+    """ast_json of an operator tree, written compactly: `(op lhs rhs)@line:col`
+    for a Bop, `(app fn arg)@line:col` for an App, `x@line:col` for a leaf."""
+    at = f"@{j['pos']['line']}:{j['pos']['col']}"
+    match j["node"]:
+        case "Bop":
+            return f"({j['op']} {brief(j['lhs'])} {brief(j['rhs'])}){at}"
+        case "App":
+            return f"(app {brief(j['fn'])} {brief(j['arg'])}){at}"
+        case "Var":
+            return j["name"] + at
+        case "Num":
+            return j["literal"] + at
+    raise AssertionError(j)
+
+
+class TestOperatorTrees:
+    """Binding, associativity and positions of operator chains, pinned
+    through `ast_json` (each Bop sits at its leftmost operand)."""
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            (
+                "a * b + c < d - e / f",
+                "(< (+ (* a@1:1 b@1:5)@1:1 c@1:9)@1:1 (- d@1:13 (/ e@1:17 f@1:21)@1:17)@1:13)@1:1",
+            ),
+            ("1 - 2 - 3", "(- (- 1@1:1 2@1:5)@1:1 3@1:9)@1:1"),
+            (
+                "f x - -1 * g (y)",
+                "(- (app f@1:1 x@1:3)@1:1 (* -1@1:7 (app g@1:12 y@1:15)@1:12)@1:7)@1:1",
+            ),
+            ("a == b + c", "(== a@1:1 (+ b@1:6 c@1:10)@1:6)@1:1"),
+            ("a <\n b + c", "(< a@1:1 (+ b@2:2 c@2:6)@2:2)@1:1"),
+        ],
+    )
+    def test_ast_json(self, source, expected):
+        assert brief(ast_json(parse(source))) == expected
+
+    def test_comparisons_do_not_chain(self):
+        with pytest.raises(ParseError) as exc:
+            parse("a < b < c")
+        assert (exc.value.message, exc.value.line, exc.value.col) == ("unexpected '<'", 1, 7)
+        assert exc.value.expected == (";", "eof")
+
+
+class TestNesting:
+    """How deep the parser nests before Python's recursion limit. Each
+    parenthesis costs five parser frames and each `if` six; under pytest the
+    limits measured 190 and 158."""
+
+    def test_nested_parentheses(self):
+        n = 180
+        assert parse("(" * n + "1" + ")" * n) == Num("1")
+
+    def test_nested_ifs(self):
+        n = 150
+        tree = parse("if x { " * n + "1" + " } else { 0 }" * n)
+        for _ in range(n):
+            assert isinstance(tree, If)
+            tree = tree.then
+        assert tree == Num("1")
 
 
 class TestApplication:

@@ -3,8 +3,10 @@
 Every rule application records its expression as source text. The checker
 passes one memo per check to `pretty`, so a node's text is built once and
 reused by every ancestor's frame instead of being rebuilt for each of them.
-These tests pin both halves: the number of renders, and that the text is
-exactly what `pretty` without a memo gives.
+A sequence's `second` is not printed at all: its frame slices the text of
+the sequence's own frame. These tests pin both halves: the number of
+renders and `pretty` calls, and that the text is exactly what `pretty`
+without a memo gives.
 """
 
 import json
@@ -106,6 +108,12 @@ def test_each_node_is_rendered_once_per_check(name, monkeypatch):
     assert max(rendered.values()) == 1
 
 
+def sequence_tails(e: Expr) -> set[int]:
+    """The ids of the nodes that are some Seq's `second`: their frames take
+    their text as a slice of the Seq frame's text."""
+    return {id(s.second) for s in preorder(e) if isinstance(s, Seq)}
+
+
 @pytest.mark.parametrize("name", PROGRAMS)
 def test_frame_text_equals_pretty_without_memo(name, monkeypatch):
     tree = PROGRAMS[name]()
@@ -118,8 +126,42 @@ def test_frame_text_equals_pretty_without_memo(name, monkeypatch):
 
     monkeypatch.setattr(typechecker, "pretty", spy)
     _, log = trace_check({}, LOW, tree)
-    assert len(seen) == len(log) == len(list(preorder(tree)))
-    assert [f.expr for f in log] == [pretty(e) for e in seen]
+    nodes = list(preorder(tree))
+    assert [f.expr for f in log] == [pretty(e) for e in nodes]
+    tails = sequence_tails(tree)
+    assert len(seen) == len(log) - len(tails)
+    assert [id(e) for e in seen] == [id(e) for e in nodes if id(e) not in tails]
+
+
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_sequence_tail_frames_share_one_text(name):
+    tree = PROGRAMS[name]()
+    _, log = trace_check({}, LOW, tree)
+    frame = {id(e): f for e, f in zip(preorder(tree), log, strict=True)}
+    seqs = [e for e in preorder(tree) if isinstance(e, Seq)]
+    assert seqs
+    for s in seqs:
+        assert frame[id(s.second)].text is frame[id(s)].text
+        assert frame[id(s.second)].start > frame[id(s)].start
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_trace_text_costs_linear_formatting(n, monkeypatch):
+    """Each check formats O(nodes) subtrees. Formatting each spine suffix
+    for its own frame would cost a number of `_fmt` calls quadratic in the
+    program's length."""
+    tree = parse(straight_source(n))
+    calls = 0
+    fmt = syntax._fmt
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return fmt(*args)
+
+    monkeypatch.setattr(syntax, "_fmt", counting)
+    trace_check({}, LOW, tree)
+    assert calls <= 2 * len(list(preorder(tree)))
 
 
 def test_memo_gives_the_same_text_for_every_subtree():
