@@ -71,12 +71,12 @@ from .syntax import (
     Ref,
     RefType,
     SecType,
-    Seq,
     Unit,
     Var,
     While,
     pretty,
     pretty_type,
+    sequence,
 )
 from .typechecker import CheckError, Judgment, TEnv, check, check_program
 
@@ -308,10 +308,7 @@ class _Gen:
             stmts.extend(self.gen_stmt(ctx, pc, depth))
         if self.rng.random() < 0.6:
             stmts.extend(self._stmt_expr(ctx, pc, depth))
-        e = stmts[-1]
-        for s in reversed(stmts[:-1]):
-            e = Seq(s, e)
-        return e
+        return sequence(stmts)
 
     def gen_stmt(self, ctx, pc, depth) -> list[Expr]:
         options = [
@@ -418,9 +415,8 @@ class _Gen:
         else:
             # the body is generated without the counter in view, so nothing
             # can reassign it and the trailing decrement guarantees termination
-            body = Assign(name, Bop(BinOp.SUB, Deref(name), Num("1")))
-            for s in reversed(self.gen_stmt(dict(ctx), join([pc, level]), depth - 1)):
-                body = Seq(s, body)
+            stmts = self.gen_stmt(dict(ctx), join([pc, level]), depth - 1)
+            body = sequence([*stmts, Assign(name, Bop(BinOp.SUB, Deref(name), Num("1")))])
         ctx[name] = (RefType(level), ("ref", "int"))
         cond = Bop(BinOp.GT, Deref(name), Num("0"))
         return [Let(name, None, Ref(init)), While(cond, body)]

@@ -34,10 +34,10 @@ from .syntax import (
     Ref,
     RefType,
     SecType,
-    Seq,
     Unit,
     Var,
     While,
+    sequence,
 )
 
 KEYWORDS = frozenset(
@@ -179,10 +179,7 @@ class _Parser:
                     f"unexpected {t.text or t.kind!r}", t.line, t.col, expected=(";",) + stop
                 )
             items.append(self.parse_expr())
-        e = items[-1]
-        for item in reversed(items[:-1]):
-            e = Seq(item, e, pos=item.pos)
-        return e
+        return sequence(items)
 
     def parse_expr(self) -> Expr:
         t = self.peek()

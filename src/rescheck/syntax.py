@@ -302,19 +302,16 @@ def _prec(e: Expr) -> int:
             return _ATOM
 
 
-def _fmt(e: Expr, level: int, memo: dict[int, str] | None) -> str:
-    if memo is None:
-        text = _render(e, None)
-    else:
-        text = memo.get(id(e))
-        if text is None:
-            text = memo[id(e)] = _render(e, memo)
+def _fmt(e: Expr, level: int, memo: dict[int, str]) -> str:
+    text = memo.get(id(e))
+    if text is None:
+        text = memo[id(e)] = _render(e, memo)
     if _prec(e) < level:
         return f"({text})"
     return text
 
 
-def _render(e: Expr, memo: dict[int, str] | None) -> str:
+def _render(e: Expr, memo: dict[int, str]) -> str:
     match e:
         case Num(literal):
             return literal
@@ -344,8 +341,8 @@ def _render(e: Expr, memo: dict[int, str] | None) -> str:
                 f"for {var} in {_fmt(start, _CMP, memo)} to {_fmt(stop, _CMP, memo)}"
                 f" {{ {_fmt(body, _SEQ, memo)} }}"
             )
-        case Seq(first, second):
-            return f"{_fmt(first, _STMT, memo)}; {_fmt(second, _SEQ, memo)}"
+        case Seq():
+            return "; ".join(_statements(e, memo))
         case Func(param, annot, body):
             return f"({param}: {pretty_type(annot)}) => {_fmt(body, _STMT, memo)}"
         case App(fn, arg):
@@ -359,7 +356,17 @@ def _render(e: Expr, memo: dict[int, str] | None) -> str:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def pretty_line(e: Expr, memo: dict[int, str] | None) -> str:
+def _statements(e: Expr, memo: dict[int, str]) -> list[str]:
+    """The text of each statement down `e`'s chain of `second`s."""
+    texts = []
+    while isinstance(e, Seq):
+        texts.append(_fmt(e.first, _STMT, memo))
+        e = e.second
+    texts.append(_fmt(e, _STMT, memo))
+    return texts
+
+
+def pretty_line(e: Expr, memo: dict[int, str]) -> str:
     """The text of `e` as one top-level statement: one line of `pretty`'s
     output for a sequence whose `first` is `e`."""
     return _fmt(e, _STMT, memo)
@@ -370,21 +377,21 @@ def pretty(e: Expr, memo: dict[int, str] | None = None) -> str:
 
     Top-level sequences print one statement per line; nested sequences use
     semicolons. parse(pretty(e)) reconstructs e exactly (positions aside).
-    A top-level spine is walked with a loop, not recursion: the text is the
-    newline-joined `pretty_line` of each `first` along the chain of
-    `second`s, then of the last `second`. So for every `Seq(first, second)`,
-    `pretty(second)` is the suffix of `pretty(Seq)` that follows
-    `pretty_line(first)` and one newline.
+    For every `Seq(first, second)`, `pretty(second)` is the suffix of
+    `pretty(Seq)` that follows `pretty_line(first)` and one newline.
 
-    `memo` lets a caller that renders many subtrees of one tree, such as the
-    type checker writing a trace frame for every node, render each node only
-    once. It maps `id(node)` to the node's text, so one memo must serve one
-    tree that stays alive for as long as the memo is used (one check).
-    Without it, every call renders its whole subtree afresh.
+    `memo` maps `id(node)` to the node's text, so a caller that renders many
+    subtrees of one tree, such as the type checker writing a trace frame for
+    every node, renders each node once. One memo serves one tree that stays
+    alive while the memo is used (one check).
     """
-    lines = []
-    while isinstance(e, Seq):
-        lines.append(_fmt(e.first, _STMT, memo))
-        e = e.second
-    lines.append(_fmt(e, _STMT, memo))
-    return "\n".join(lines)
+    return "\n".join(_statements(e, {} if memo is None else memo))
+
+
+def sequence(stmts: list[Expr]) -> Expr:
+    """Chain statements into a right-nested `Seq` spine; each link takes its
+    `first` statement's position. The one builder of statement chains."""
+    e = stmts[-1]
+    for s in reversed(stmts[:-1]):
+        e = Seq(s, e, pos=s.pos)
+    return e

@@ -68,12 +68,9 @@ class TraceFrame:
     """One rule application: which rule, on what, and how it came out.
 
     The expression's source text is `text[start:]`, sliced only when `expr`
-    is read. A sequence's `second` is printed as the tail of the sequence's
-    own text (see `pretty`), so the frames down a chain of statements share
-    their first frame's `text` and differ only in `start`; every other frame
-    has its own text and `start` 0. A frame keeps the judgment's type and
-    effect, not its environment, and renders them only when `result` is
-    read.
+    is read: the frames down a chain of statements share one `text`. A frame
+    keeps the judgment's type and effect, not its environment, and renders
+    them only when `result` is read.
     """
 
     rule: str
@@ -122,17 +119,27 @@ class _Checker:
         path[-1].rule, path[-1].failed = rule, condition
         raise CheckError(rule, condition, e.pos, path)
 
-    def check(
-        self, env: TEnv, pc: SecType, e: Expr, text: str | None = None, start: int = 0
-    ) -> Judgment:
-        """Apply e's rule. `text` and `start` give e's source text as a
-        slice of a text already built; without them it is rendered."""
-        if text is None:
-            text = pretty(e, self.text)
-        frame = TraceFrame(_rule_name(e), text, start)
+    def check(self, env: TEnv, pc: SecType, e: Expr) -> Judgment:
+        """Apply e's rule. Down a chain of statements each `Seq` frame is
+        pushed and its `first` checked in turn; the frames of the chain
+        share one text, and are judged from the last statement back."""
+        text = pretty(e, self.text)
+        frame = TraceFrame(_rule_name(e), text)
         self.log.append(frame)
+        spine = []  # each Seq frame on the way down, with its `first`'s effect
+        while isinstance(e, Seq):
+            j = self.check(env, pc, e.first)
+            spine.append((frame, j.effect))
+            env = j.out_env
+            start = frame.start + len(pretty_line(e.first, self.text)) + 1
+            e = e.second
+            frame = TraceFrame(_rule_name(e), text, start)
+            self.log.append(frame)
         j = self._apply(frame, env, pc, e)
         frame.judged = j.ty, j.effect
+        for link, effect in reversed(spine):
+            j = Judgment(j.ty, meet([effect, j.effect]), j.out_env)
+            link.judged = j.ty, j.effect
         return j
 
     def _join(self, parts: list[SecType], rule: str, condition: str, e: Expr) -> SecType:
@@ -181,8 +188,6 @@ class _Checker:
                     frame.rule = "Let-Base-Func"
                     if not leq(pc, LOW):
                         self.fail("Let-Base-Func", "Low ⊒ pc", e)
-                    j = self.check(env, pc, rhs)
-                    return Judgment(LOW, LOW, {**env, x: j.ty})
                 j = self.check(env, pc, rhs)
                 match j.ty:
                     case FunType():
@@ -236,12 +241,6 @@ class _Checker:
                 t8 = meet([j1.effect, j2.effect, j3.effect])
                 return Judgment(LOW, t8, env)
 
-            case Seq(first, second):
-                j1 = self.check(env, pc, first)
-                start = frame.start + len(pretty_line(first, self.text)) + 1
-                j2 = self.check(j1.out_env, pc, second, frame.text, start)
-                return Judgment(j2.ty, meet([j1.effect, j2.effect]), j2.out_env)
-
             case Func(x, annot, body):
                 if not well_formed(annot):
                     self.fail("Func", "t1 well-formed", e)
@@ -289,8 +288,6 @@ class _Checker:
                     self.fail("Reassign", "t3 ⊒ pc", e)
                 t4 = meet([t3, j.effect])
                 return Judgment(LOW, t4, env)
-
-        raise TypeError(f"not an Expr: {e!r}")
 
 
 _RULE_NAMES = {

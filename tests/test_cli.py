@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,43 @@ class TestParse:
 
     def test_parse_error_exit(self, src):
         assert main(["parse", src("((")]) == EXIT_PARSE_ERROR
+
+
+def straight_line(n: int) -> str:
+    """n statements: lets, annotated lets and assignments, then a read."""
+    lines = ["let r = ref(0)"]
+    for k in range(1, n - 1):
+        lines.append([f"let v{k} = {k} + 1", f"let h{k}: high = {k}", f"r := {k}"][k % 3])
+    return "\n".join(lines + ["!r"])
+
+
+class TestLongChains:
+    """Statement chains are walked with loops, so their length is bounded by
+    no recursion limit: only the evaluator counts a level per statement."""
+
+    @pytest.mark.parametrize("args", [["check"], ["check", "--json"]])
+    def test_ten_thousand_statements_check(self, src, capsys, args):
+        path = src(straight_line(10_000))
+        started = time.perf_counter()
+        assert main([*args, path]) == EXIT_OK
+        took = time.perf_counter() - started
+        assert took < 5.0, f"{args} took {took:.2f}s, budget 5s"
+        assert "ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "args", [["parse"], ["check"], ["check", "--trace"], ["run"]], ids=" ".join
+    )
+    def test_long_block_inside_if(self, src, capsys, args):
+        block = "\n".join(straight_line(800).splitlines()[1:])
+        path = src(f"let r = ref(0)\nif !r < 1 {{\n{block}\n}} else {{ 0 }}")
+        assert main([*args, path]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if args == ["parse"]:
+            assert captured.out.startswith("let r = ref(0)\nif !r < 1 { let h1: high = 1; r := 2; let v3")
+            assert captured.out.endswith("; let v798 = 798 + 1; !r } else { 0 }\n")
+            assert main(["parse", src(captured.out, "echo.resc")]) == EXIT_OK
+            assert capsys.readouterr().out == captured.out
 
 
 class TestAstJson:

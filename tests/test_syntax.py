@@ -19,6 +19,7 @@ from rescheck import (
     Bop,
     Deref,
     Empty,
+    For,
     FunType,
     High,
     If,
@@ -26,10 +27,12 @@ from rescheck import (
     Low,
     Num,
     Pos,
+    Ref,
     RefType,
     Seq,
     Unit,
     Var,
+    While,
     display_type,
     enumerate_types,
     is_base,
@@ -39,6 +42,7 @@ from rescheck import (
     pretty_type,
     well_formed,
 )
+from rescheck.syntax import sequence
 
 
 class TestLevels:
@@ -230,6 +234,33 @@ class TestPretty:
     def test_nested_seq_uses_semicolons(self):
         e = If(Bool(True), Seq(Num("1"), Num("2")), Num("3"))
         assert pretty(e) == "if true { 1; 2 } else { 3 }"
+
+    def test_sequence_chains_to_the_right(self):
+        a, b, c = Num("1", pos=Pos(1, 1)), Num("2", pos=Pos(2, 1)), Num("3")
+        assert sequence([a]) is a
+        chain = sequence([a, b, c])
+        assert chain == Seq(a, Seq(b, c))
+        assert (chain.pos, chain.second.pos) == (a.pos, b.pos)
+
+    # A block of four statements, one of them a parenthesised sequence.
+    BLOCK = [Let("x", None, Num("1")), Assign("r", Var("x")), Seq(Num("2"), Num("3")), Deref("r")]
+
+    def test_nested_blocks_join_every_statement_with_semicolons(self):
+        e = While(Var("b"), sequence(self.BLOCK))
+        assert pretty(e) == "while b { let x = 1; r := x; (2; 3); !r }"
+
+    @pytest.mark.parametrize("size", [3, 4, 40])
+    def test_nested_blocks_round_trip(self, size):
+        block = sequence((self.BLOCK * size)[:size])
+        for e in (
+            If(Var("b"), block, block),
+            While(Var("b"), block),
+            For("i", Num("1"), Num("2"), block),
+            Ref(block),
+            Let("y", None, Ref(If(Var("b"), block, While(Var("b"), block)))),
+        ):
+            assert parse(pretty(e)) == e
+            assert parse(pretty(sequence([e, e, block]))) == sequence([e, e, block])
 
     def test_application_is_left_associative(self):
         e = App(App(Var("f"), Var("x")), Var("y"))

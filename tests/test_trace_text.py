@@ -60,6 +60,22 @@ def nested_source(levels: int) -> str:
     return "\n".join(lines)
 
 
+def blocks_source(levels: int) -> str:
+    """`levels` nested if/while/for blocks of four statements each, the last
+    being the next level's block, so each block is a chain of `Seq`s."""
+    lines = ["let r0 = ref(1)", "let w0 = 2"]
+    for k in range(1, levels + 1):
+        lines.append(
+            [f"for i{k} in 1 to w{k - 1} {{", f"if w{k - 1} < {k + 10} {{", f"while !r0 < {k} {{"][k % 3]
+        )
+        lines += [f"let a{k} = w{k - 1} + 1", f"r0 := a{k}", f"let w{k} = a{k} * 2"]
+    lines.append(f"r0 := w{levels}")
+    for k in range(levels, 0, -1):
+        lines.append("} else { 0 }" if k % 3 == 1 else "}")
+    lines.append("!r0")
+    return "\n".join(lines)
+
+
 def children(e: Expr) -> list[Expr]:
     """Sub-expressions in the order the checker visits them (App types its
     argument before the function)."""
@@ -86,7 +102,14 @@ def top_level_spine(e: Expr) -> list[Expr]:
 PROGRAMS = {
     "straight-200": lambda: parse(straight_source(200)),
     "nested-80": lambda: parse(nested_source(80)),
+    "blocks-60": lambda: parse(blocks_source(60)),
 }
+
+
+def sequence_tails(e: Expr) -> set[int]:
+    """The ids of the nodes that are some Seq's `second`: their frames take
+    their text as a slice of the Seq frame's text."""
+    return {id(s.second) for s in preorder(e) if isinstance(s, Seq)}
 
 
 @pytest.mark.parametrize("name", PROGRAMS)
@@ -102,16 +125,13 @@ def test_each_node_is_rendered_once_per_check(name, monkeypatch):
 
     monkeypatch.setattr(syntax, "_render", counting)
     trace_check({}, LOW, tree)
-    spine = {id(s) for s in top_level_spine(tree)}
-    assert sum(rendered.values()) == len(nodes) - len(spine)
-    assert set(rendered) == {id(n) for n in nodes} - spine
+    # A chain's statements are rendered one by one, never the Seqs that
+    # link them, and a top-level chain is not rendered as a whole either.
+    links = {id(n) for n in nodes if isinstance(n, Seq)} & sequence_tails(tree)
+    unrendered = {id(s) for s in top_level_spine(tree)} | links
+    assert sum(rendered.values()) == len(nodes) - len(unrendered)
+    assert set(rendered) == {id(n) for n in nodes} - unrendered
     assert max(rendered.values()) == 1
-
-
-def sequence_tails(e: Expr) -> set[int]:
-    """The ids of the nodes that are some Seq's `second`: their frames take
-    their text as a slice of the Seq frame's text."""
-    return {id(s.second) for s in preorder(e) if isinstance(s, Seq)}
 
 
 @pytest.mark.parametrize("name", PROGRAMS)
