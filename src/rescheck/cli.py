@@ -9,6 +9,7 @@ them; see the EXIT_* constants.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -174,6 +175,8 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_nitest(args: argparse.Namespace) -> int:
+    if args.seed is None:  # read when the command runs: the parser outlives one call
+        args.seed = int(os.environ.get("IFC_SEED", "42"))
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     cfg = GenConfig(rng_seed=args.seed, fuel=args.fuel, trials=args.trials)
     reports = [run_suite(name, cfg) for name in suites]
@@ -237,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_nitest.add_argument(
         "--seed",
         type=int,
-        default=int(os.environ.get("IFC_SEED", "42")),
         help="base RNG seed (defaults to $IFC_SEED or 42)",
     )
     p_nitest.add_argument("--fuel", type=int, default=DEFAULT_FUEL, help="step budget per run")
@@ -261,8 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -3,21 +3,24 @@
 evaluate() never raises for program-level failures; it returns an Outcome.
 Fuel decrements once per rule application, so any divergence surfaces as
 FuelExhausted after a bounded amount of work. The input store is copied up
-front and environments are extended copy-on-write, which keeps the caller's
-state intact; evaluating the same expression from equal states is fully
-deterministic.
+front and no code changes an env it did not create (a `for` loop rebinds its
+variable in its own copy, a closure captures a copy), which keeps the
+caller's state intact; evaluating the same expression from equal states is
+fully deterministic.
 
 A run compiles each node it reaches, once, into a closure `code(env) ->
-(value, env)`: one Python call per rule application. `_RULES` maps each
-`Expr` class to the `_Evaluator` method that compiles it, and anything else
-raises TypeError when compiled. An `If` branch is compiled when first taken,
-and a closure body at its first application.
+value`: one Python call per rule application. `_RULES` maps each `Expr`
+class to the `_Evaluator` method that compiles it, and anything else raises
+TypeError when compiled. Only a statement chain threads an env, in one loop
+down its `Seq` spine. An `If` branch is compiled when first taken, and a
+closure body at its first application.
 
 Nesting depth is its own outcome. Evaluation that nests deeper than
 `_MAX_DEPTH` rule applications ends in DepthExceeded, not FuelExhausted:
 running out of budget and running out of stack are different diagnoses. Fuel
-is checked first. Compiling recurses too, so it stops at the same depth: a
-node `_MAX_DEPTH` levels down can only run that deep, and compiles to a stop.
+is checked first. A chain's statements all run one level below it. Compiling
+recurses too, so it stops at the same depth: a node `_MAX_DEPTH` levels down
+can only run that deep, and compiles to a stop.
 """
 
 from __future__ import annotations
@@ -42,14 +45,21 @@ class Value:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class IntV(Value):
     n: int
 
+    def __init__(self, n: int):
+        _set_n(self, n)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class BoolV(Value):
     b: bool
+
+
+_set_n = IntV.n.__set__  # the slot's own setter, without the frozen class's __setattr__ path
+_BOOL = (BoolV(False), BoolV(True)).__getitem__  # a bool to one of two shared BoolVs
 
 
 @dataclass(frozen=True)
@@ -199,7 +209,7 @@ class _Stop(Exception):
 # into DepthExceeded instead of crashing the host.
 _MAX_DEPTH = 2500
 
-Code = Callable[[Env], tuple[Value, Env]]
+Code = Callable[[Env], Value]
 
 
 def _div(a: int, b: int) -> int:
@@ -214,9 +224,9 @@ _OPS = {
     BinOp.SUB: (operator.sub, IntV),
     BinOp.MUL: (operator.mul, IntV),
     BinOp.DIV: (_div, IntV),
-    BinOp.EQ: (operator.eq, BoolV),
-    BinOp.LT: (operator.lt, BoolV),
-    BinOp.GT: (operator.gt, BoolV),
+    BinOp.EQ: (operator.eq, _BOOL),
+    BinOp.LT: (operator.lt, _BOOL),
+    BinOp.GT: (operator.gt, _BOOL),
 }
 
 
@@ -232,13 +242,14 @@ class _Evaluator:
     the node is too deep, and one fuel is taken.
     """
 
-    __slots__ = ("store", "fuel", "base", "bodies")
+    __slots__ = ("store", "fuel", "base", "bodies", "env")
 
     def __init__(self, store: Store, fuel: int):
         self.store = store
         self.fuel = fuel
         self.base = 0
         self.bodies: dict[int, Code] = {}  # each closure body compiled, by id
+        self.env: Env = {}  # the env the last `let` or statement chain to finish left
 
     def stop(self, env: Env | None = None) -> NoReturn:
         """End the run: out of fuel if none is left, else nested too deep."""
@@ -258,17 +269,17 @@ class _Evaluator:
     def _leaf(self, v: Value, level: int) -> Code:
         ev, limit = self, _MAX_DEPTH - level
 
-        def leaf(env: Env) -> tuple[Value, Env]:
+        def leaf(env: Env) -> Value:
             if ev.fuel < 1 or ev.base >= limit: ev.stop()
             ev.fuel -= 1
-            return v, env
+            return v
         return leaf
 
     def _num(self, e: Num, level: int) -> Code:
         return self._leaf(IntV(int(e.literal)), level)
 
     def _bool(self, e: Bool, level: int) -> Code:
-        return self._leaf(BoolV(e.value), level)
+        return self._leaf(_BOOL(e.value), level)
 
     def _unit(self, e: Unit, level: int) -> Code:
         return self._leaf(UNIT, level)
@@ -276,11 +287,11 @@ class _Evaluator:
     def _var(self, e: Var, level: int) -> Code:
         ev, limit, name, pos = self, _MAX_DEPTH - level, e.name, e.pos
 
-        def var(env: Env) -> tuple[Value, Env]:
+        def var(env: Env) -> Value:
             if ev.fuel < 1 or ev.base >= limit: ev.stop()
             ev.fuel -= 1
             if name in env:
-                return env[name], env
+                return env[name]
             raise _Stop(RuntimeFault(FaultKind.UNBOUND_VAR, pos))
         return var
 
@@ -288,18 +299,17 @@ class _Evaluator:
         ev, limit, pos, (op, wrap) = self, _MAX_DEPTH - level, e.pos, _OPS[e.op]
         lhs, rhs = self.compile(e.lhs, level + 1), self.compile(e.rhs, level + 1)
 
-        def bop(env: Env) -> tuple[Value, Env]:
+        def bop(env: Env) -> Value:
             if ev.fuel < 1 or ev.base >= limit: ev.stop()
             ev.fuel -= 1
-            v1 = lhs(env)[0]
-            v2 = rhs(env)[0]
+            v1, v2 = lhs(env), rhs(env)
             if isinstance(v1, IntV) and isinstance(v2, IntV):
                 try:
-                    return wrap(op(v1.n, v2.n)), env
+                    return wrap(op(v1.n, v2.n))
                 except ZeroDivisionError:
                     raise _Stop(RuntimeFault(FaultKind.DIV_BY_ZERO, pos))
             if op is operator.eq and isinstance(v1, BoolV) and isinstance(v2, BoolV):
-                return BoolV(v1.b == v2.b), env
+                return _BOOL(v1.b == v2.b)
             raise _Stop(RuntimeFault(FaultKind.NOT_AN_INT, pos))
         return bop
 
@@ -307,10 +317,11 @@ class _Evaluator:
         ev, limit, name = self, _MAX_DEPTH - level, e.name
         rhs = self.compile(e.rhs, level + 1)
 
-        def let(env: Env) -> tuple[Value, Env]:
+        def let(env: Env) -> Value:
             if ev.fuel < 1 or ev.base >= limit: ev.stop()
             ev.fuel -= 1
-            return UNIT, {**env, name: rhs(env)[0]}
+            ev.env = {**env, name: rhs(env)}
+            return UNIT
         return let
 
     def _if(self, e: If, level: int) -> Code:
@@ -318,38 +329,37 @@ class _Evaluator:
         ev, limit, pos = self, _MAX_DEPTH - level, e.pos
         cond, then, orelse = self.compile(e.cond, level + 1), None, None
 
-        def if_(env: Env) -> tuple[Value, Env]:
+        def if_(env: Env) -> Value:
             nonlocal then, orelse
             if ev.fuel < 1 or ev.base >= limit: ev.stop()
             ev.fuel -= 1
-            cv = cond(env)[0]
+            cv = cond(env)
             if not isinstance(cv, BoolV):
                 raise _Stop(RuntimeFault(FaultKind.NOT_A_BOOL, pos))
             if cv.b:
                 then = then or ev.compile(e.then, level + 1)
-                return then(env)[0], env
+                return then(env)
             orelse = orelse or ev.compile(e.orelse, level + 1)
-            return orelse(env)[0], env
+            return orelse(env)
         return if_
 
     def _while(self, e: While, level: int) -> Code:
         ev, limit, pos = self, _MAX_DEPTH - level, e.pos
         cond, body = self.compile(e.cond, level + 1), self.compile(e.body, level + 1)
 
-        def while_(env: Env) -> tuple[Value, Env]:
+        def while_(env: Env) -> Value:
             if ev.fuel < 1 or ev.base >= limit: ev.stop()
             ev.fuel -= 1
             # Iterative form of the recursive rule; each unfolding of the loop
             # is one more rule application, charged after its body.
             while True:
-                cv = cond(env)[0]
+                cv = cond(env)
                 if not isinstance(cv, BoolV):
                     raise _Stop(RuntimeFault(FaultKind.NOT_A_BOOL, pos))
                 if not cv.b:
-                    return UNIT, env
+                    return UNIT
                 body(env)
-                if ev.fuel < 1:
-                    ev.stop()
+                if ev.fuel < 1: ev.stop()
                 ev.fuel -= 1
         return while_
 
@@ -358,11 +368,10 @@ class _Evaluator:
         start, stop = self.compile(e.start, level + 1), self.compile(e.stop, level + 1)
         body = self.compile(e.body, level + 1)
 
-        def for_(env: Env) -> tuple[Value, Env]:
+        def for_(env: Env) -> Value:
             if ev.fuel < 1 or ev.base >= limit: ev.stop()
             ev.fuel -= 1
-            v1 = start(env)[0]
-            v2 = stop(env)[0]
+            v1, v2 = start(env), stop(env)
             if not isinstance(v1, IntV) or not isinstance(v2, IntV):
                 raise _Stop(RuntimeFault(FaultKind.NOT_AN_INT, pos))
             a, b = v1.n, v2.n
@@ -373,28 +382,41 @@ class _Evaluator:
             if ev.fuel < 3 * (b - a):
                 raise _Stop(FuelExhausted())
             ev.fuel -= 3 * (b - a)
+            local = dict(env)  # the loop's own env: each iteration rebinds x in it
             for i in range(a, b + 1):
-                body({**env, x: IntV(i)})
-            return UNIT, env
+                local[x] = IntV(i)
+                body(local)
+            return UNIT
         return for_
 
     def _seq(self, e: Seq, level: int) -> Code:
-        ev, limit = self, _MAX_DEPTH - level
-        first, second = self.compile(e.first, level + 1), self.compile(e.second, level + 1)
+        # One loop down the chain: each link is charged here, its statement one level below.
+        ev, limit, links = self, _MAX_DEPTH - level, []
+        while isinstance(e, Seq):
+            links.append((self.compile(e.first, level + 1), isinstance(e.first, (Let, Seq))))
+            e = e.second
+        last, last_binds = self.compile(e, level + 1), isinstance(e, Let)
 
-        def seq(env: Env) -> tuple[Value, Env]:
-            if ev.fuel < 1 or ev.base >= limit: ev.stop()
-            ev.fuel -= 1
-            return second(first(env)[1])
+        def seq(env: Env) -> Value:
+            for code, binds in links:
+                if ev.fuel < 1 or ev.base >= limit: ev.stop()
+                ev.fuel -= 1
+                code(env)
+                if binds:  # a `let` or a nested chain: go on with the env it left
+                    env = ev.env
+            v = last(env)
+            if not last_binds:
+                ev.env = env
+            return v
         return seq
 
     def _func(self, e: Func, level: int) -> Code:
         ev, limit, body, param = self, _MAX_DEPTH - level, e.body, e.param
 
-        def func(env: Env) -> tuple[Value, Env]:
+        def func(env: Env) -> Value:
             if ev.fuel < 1 or ev.base >= limit: ev.stop()
             ev.fuel -= 1
-            return ClosV(body, param, env), env
+            return ClosV(body, param, dict(env))  # a copy: a `for` rebinds in its env
         return func
 
     def _app(self, e: App, level: int) -> Code:
@@ -404,11 +426,10 @@ class _Evaluator:
         ev, limit, pos, bodies = self, _MAX_DEPTH - level, e.pos, self.bodies
         fn, arg = self.compile(e.fn, level + 1), self.compile(e.arg, level + 1)
 
-        def app(env: Env) -> tuple[Value, Env]:
+        def app(env: Env) -> Value:
             if ev.fuel < 1 or ev.base >= limit: ev.stop()
             ev.fuel -= 1
-            fv = fn(env)[0]
-            av = arg(env)[0]
+            fv, av = fn(env), arg(env)
             if not isinstance(fv, ClosV):
                 raise _Stop(RuntimeFault(FaultKind.NOT_A_FUNCTION, pos))
             code = bodies.get(id(fv.body))
@@ -416,25 +437,25 @@ class _Evaluator:
                 code = bodies[id(fv.body)] = ev.compile(fv.body)
             base = ev.base
             ev.base = base + level + 1  # the body is one level below this node
-            v = code({**fv.env, fv.param: av})[0]
+            v = code({**fv.env, fv.param: av})
             ev.base = base
-            return v, env
+            return v
         return app
 
     def _ref(self, e: Ref, level: int) -> Code:
         ev, limit, store = self, _MAX_DEPTH - level, self.store
         inner = self.compile(e.inner, level + 1)
 
-        def ref(env: Env) -> tuple[Value, Env]:
+        def ref(env: Env) -> Value:
             if ev.fuel < 1 or ev.base >= limit: ev.stop()
             ev.fuel -= 1
-            return LocV(store.alloc(inner(env)[0])), env
+            return LocV(store.alloc(inner(env)))
         return ref
 
     def _deref(self, e: Deref, level: int) -> Code:
         ev, limit, data, name, pos = self, _MAX_DEPTH - level, self.store.data, e.name, e.pos
 
-        def deref(env: Env) -> tuple[Value, Env]:
+        def deref(env: Env) -> Value:
             if ev.fuel < 1 or ev.base >= limit: ev.stop()
             ev.fuel -= 1
             lv = env.get(name)
@@ -442,24 +463,24 @@ class _Evaluator:
                 raise _Stop(RuntimeFault(FaultKind.UNBOUND_VAR, pos))
             if not isinstance(lv, LocV) or lv.loc not in data:
                 raise _Stop(RuntimeFault(FaultKind.NOT_A_LOC, pos))
-            return data[lv.loc], env
+            return data[lv.loc]
         return deref
 
     def _assign(self, e: Assign, level: int) -> Code:
         ev, limit, data, name, pos = self, _MAX_DEPTH - level, self.store.data, e.name, e.pos
         rhs = self.compile(e.rhs, level + 1)
 
-        def assign(env: Env) -> tuple[Value, Env]:
+        def assign(env: Env) -> Value:
             if ev.fuel < 1 or ev.base >= limit: ev.stop()
             ev.fuel -= 1
-            v = rhs(env)[0]
+            v = rhs(env)
             lv = env.get(name)
             if lv is None:
                 raise _Stop(RuntimeFault(FaultKind.UNBOUND_VAR, pos))
             if not isinstance(lv, LocV):
                 raise _Stop(RuntimeFault(FaultKind.NOT_A_LOC, pos))
             data[lv.loc] = v
-            return UNIT, env
+            return UNIT
         return assign
 
 
@@ -478,8 +499,8 @@ def evaluate(e: Expr, env: Env, store: Store, fuel: int) -> Outcome:
     if limit < 4 * _MAX_DEPTH:
         sys.setrecursionlimit(4 * _MAX_DEPTH)
     try:
-        v, out_env = ev.compile(e)(env)
-        return Ok(v, State(out_env, ev.store))
+        v = ev.compile(e)(env)
+        return Ok(v, State(ev.env if isinstance(e, (Let, Seq)) else env, ev.store))
     except _Stop as stop:
         return stop.outcome
     finally:

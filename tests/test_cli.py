@@ -22,7 +22,7 @@ from rescheck.cli import (
     main,
 )
 import rescheck
-from rescheck import parse
+from rescheck import cli, parse
 
 _SRC = os.pathsep.join(
     filter(None, [str(Path(rescheck.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")])
@@ -135,11 +135,13 @@ class TestRun:
         assert captured.err == f"{path}: nesting too deep (limit 2500)\n"
 
     def test_straight_line_code_past_the_depth_limit(self, src, capsys):
+        # every statement of a chain runs one level below it, so straight-line
+        # code is never too deep: 6,000 lets and a read cost 18,001 steps
         path = src("\n".join(f"let x{i} = {i}" for i in range(6000)) + "\nx0")
-        assert main(["run", "--unsafe", path]) == EXIT_DEPTH_EXCEEDED
+        assert main(["run", "--unsafe", "--fuel", "20000", path]) == EXIT_OK
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"{path}: nesting too deep (limit 2500)\n"
+        assert captured.out == "value: 0\n"
+        assert captured.err == ""
 
     def test_non_decimal_digit_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "sup.resc"
@@ -218,7 +220,7 @@ def straight_line(n: int) -> str:
 
 class TestLongChains:
     """Statement chains are walked with loops, so their length is bounded by
-    no recursion limit: only the evaluator counts a level per statement."""
+    no recursion limit, and the evaluator runs a whole chain one level deep."""
 
     @pytest.mark.parametrize("args", [["check"], ["check", "--json"]])
     def test_ten_thousand_statements_check(self, src, capsys, args):
@@ -325,6 +327,23 @@ class TestNitest:
         monkeypatch.setenv("IFC_SEED", "9")
         assert main(["nitest", "--trials", "1", "--json"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["seed"] == 9
+
+    def test_seed_env_is_read_by_each_call(self, capsys, monkeypatch):
+        seeds = []
+        for value in ("9", "11"):
+            monkeypatch.setenv("IFC_SEED", value)
+            assert main(["nitest", "--trials", "1", "--json"]) == EXIT_OK
+            seeds.append(json.loads(capsys.readouterr().out)["seed"])
+        assert seeds == [9, 11]
+
+    def test_the_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        assert main(["nitest", "--trials", "0"]) == EXIT_OK
+        assert main(["nitest", "--trials", "0", "--json"]) == EXIT_OK
+        assert len(builds) == 1
 
     def test_explicit_seed_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("IFC_SEED", "9")

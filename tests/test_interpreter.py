@@ -1,5 +1,7 @@
 """Big-step evaluation: values, stores, faults, and fuel accounting."""
 
+import dataclasses
+
 import pytest
 
 from rescheck import (
@@ -47,6 +49,28 @@ class TestValues:
         assert pretty_value(BoolV(True)) == "true"
         assert pretty_value(UnitV()) == "unit"
         assert pretty_value(LocV(2)) == "ℓ2"
+
+    def test_values_are_frozen(self):
+        for v, field in ((IntV(3), "n"), (BoolV(True), "b"), (value_of("1 < 2"), "b")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(v, field, 0)
+
+    def test_values_compare_and_hash_by_value(self):
+        assert IntV(10**30) == IntV(10**30) and hash(IntV(7)) == hash(IntV(7))
+        assert IntV(1) != IntV(2) and IntV(1) != BoolV(True)
+        assert value_of("1 < 2") == BoolV(True) and value_of("2 == 3") == BoolV(False)
+        assert {IntV(5): "five", BoolV(False): "no"}[value_of("2 + 3")] == "five"
+
+    def test_value_reprs(self):
+        assert repr(IntV(-4)) == "IntV(n=-4)"
+        assert repr(value_of("true == false")) == "BoolV(b=False)"
+
+    def test_match_patterns_bind(self):
+        match value_of("6 * 7"), value_of("1 > 0"):
+            case IntV(n), BoolV(b=b):
+                assert (n, b) == (42, True)
+            case _:
+                pytest.fail("no pattern matched")
 
     def test_pretty_value_past_the_int_to_str_limit(self):
         assert pretty_value(IntV(-(10**5000))) == "-1" + "0" * 5000
@@ -143,6 +167,14 @@ class TestEnvAndScope:
     def test_while_body_bindings_do_not_leak(self):
         src = "let c = ref(1)\nwhile !c > 0 { let t = 9; c := !c - 1 }\n!c"
         assert value_of(src) == IntV(0)
+
+    def test_a_closure_made_in_a_loop_keeps_its_iteration(self):
+        src = (
+            "let c = ref(0)\n"
+            "for i in 1 to 3 { if i == 1 { c := (x: low) => i } else { 0 } }\n"
+            "(!c) 0"
+        )
+        assert value_of(src) == IntV(1)
 
     def test_inputs_are_not_mutated(self):
         env = {"p": LocV(0)}
@@ -302,16 +334,18 @@ class TestFuel:
             # one more addition puts its innermost literal past the limit
             ("0" + " + 1" * 2500, 2500, FuelExhausted),
             ("0" + " + 1" * 2500, 2501, DepthExceeded),
+            # each let costs its link, itself and its literal, and every
+            # statement runs one level below the chain: no chain is too deep
             ("\n".join(f"let x{i} = {i}" for i in range(2498)) + "\nx0", 7494, FuelExhausted),
             ("\n".join(f"let x{i} = {i}" for i in range(2498)) + "\nx0", 7495, Ok),
-            ("\n".join(f"let x{i} = {i}" for i in range(2499)) + "\nx0", 7496, FuelExhausted),
-            ("\n".join(f"let x{i} = {i}" for i in range(2499)) + "\nx0", 7497, DepthExceeded),
+            ("\n".join(f"let x{i} = {i}" for i in range(2499)) + "\nx0", 7497, FuelExhausted),
+            ("\n".join(f"let x{i} = {i}" for i in range(2499)) + "\nx0", 7498, Ok),
             ("let w = (f: low) => f f\nw w", 7498, FuelExhausted),
             ("let w = (f: low) => f f\nw w", 7499, DepthExceeded),
         ],
         ids=[
             "2499-adds-fuel", "2499-adds-ok", "2500-adds-fuel", "2500-adds-depth",
-            "2498-lets-fuel", "2498-lets-ok", "2499-lets-fuel", "2499-lets-depth",
+            "2498-lets-fuel", "2498-lets-ok", "2499-lets-fuel", "2499-lets-ok",
             "self-app-fuel", "self-app-depth",
         ],
     )
