@@ -1,0 +1,8 @@
+"""`python -m rescheck`: the same command as the `rescheck` entry point."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -35,6 +35,7 @@ EXIT_RUNTIME_FAULT = 4
 EXIT_FUEL_EXHAUSTED = 5
 EXIT_VIOLATION = 6
 EXIT_DEPTH_EXCEEDED = 7
+EXIT_USAGE = 2  # a bad command line or environment: argparse exits 2 for its own usage errors
 
 DEFAULT_FUEL = 10000
 
@@ -176,7 +177,13 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 def cmd_nitest(args: argparse.Namespace) -> int:
     if args.seed is None:  # read when the command runs: the parser outlives one call
-        args.seed = int(os.environ.get("IFC_SEED", "42"))
+        seed = os.environ.get("IFC_SEED", "42")
+        try:
+            args.seed = int(seed)
+        except ValueError:
+            msg = f"IFC_SEED must be an integer, got {seed!r}"
+            print(f"rescheck nitest: error: {msg}", file=sys.stderr)
+            return EXIT_USAGE
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     cfg = GenConfig(rng_seed=args.seed, fuel=args.fuel, trials=args.trials)
     reports = [run_suite(name, cfg) for name in suites]

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
+from itertools import accumulate
 from pathlib import Path
 
 from .equivalence import (
@@ -192,9 +194,12 @@ class _Gen:
     def draw(self, options, prefix, *args):
         """Draw builders by weight, without replacement, until one builds.
         A builder returns None, having built nothing, when the context has
-        no source for it; a literal or an expression statement always builds."""
+        no source for it; a literal or an expression statement always builds.
+        Each pick is the computation of `rng.choices(range(n), weights)`, so
+        it consumes the same random stream, without that call's overhead."""
         while True:
-            pick = self.rng.choices(range(len(options)), weights=[w for w, _ in options])[0]
+            cum = list(accumulate([w for w, _ in options]))
+            pick = bisect(cum, self.rng.random() * (cum[-1] + 0.0), 0, len(cum) - 1)
             built = getattr(self, prefix + options.pop(pick)[1])(*args)
             if built is not None:
                 return built

@@ -44,6 +44,9 @@ def leq(a: SecType, b: SecType) -> bool:
 
 
 def _join2(a: SecType, b: SecType) -> SecType:
+    ra, rb = _RANK.get(type(a)), _RANK.get(type(b))
+    if ra is not None and rb is not None:  # two levels: what leq decides, without the calls
+        return b if ra <= rb else a
     if leq(a, b):
         return b
     if leq(b, a):
@@ -52,6 +55,9 @@ def _join2(a: SecType, b: SecType) -> SecType:
 
 
 def _meet2(a: SecType, b: SecType) -> SecType:
+    ra, rb = _RANK.get(type(a)), _RANK.get(type(b))
+    if ra is not None and rb is not None:
+        return a if ra <= rb else b
     if leq(a, b):
         return a
     if leq(b, a):

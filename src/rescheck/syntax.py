@@ -286,20 +286,17 @@ BINOP_LEVEL = {
 CMP_LEVEL = _CMP
 
 
+# The level of each node class; `Bop` and `Num` are read from the node.
+_PREC = {Seq: _SEQ, Let: _STMT, Assign: _STMT, Func: _STMT, App: _APP}
+
+
 def _prec(e: Expr) -> int:
-    match e:
-        case Seq():
-            return _SEQ
-        case Let() | Assign() | Func():
-            return _STMT
-        case Bop(op, _, _):
-            return BINOP_LEVEL[op]
-        case App():
-            return _APP
-        case Num(literal) if literal.startswith("-"):
-            return _UNARY
-        case _:
-            return _ATOM
+    t = type(e)
+    if t is Bop:
+        return BINOP_LEVEL[e.op]
+    if t is Num:
+        return _UNARY if e.literal.startswith("-") else _ATOM
+    return _PREC.get(t, _ATOM)
 
 
 def _fmt(e: Expr, level: int, memo: dict[int, str]) -> str:
@@ -383,9 +380,16 @@ def pretty(e: Expr, memo: dict[int, str] | None = None) -> str:
     `memo` maps `id(node)` to the node's text, so a caller that renders many
     subtrees of one tree, such as the type checker writing a trace frame for
     every node, renders each node once. One memo serves one tree that stays
-    alive while the memo is used (one check).
+    alive while the memo is used (one check). A node other than a `Seq` that
+    is already in the memo costs one lookup: its text is its `pretty`.
     """
-    return "\n".join(_statements(e, {} if memo is None else memo))
+    if memo is None:
+        memo = {}
+    elif type(e) is not Seq:
+        text = memo.get(id(e))
+        if text is not None:
+            return text
+    return "\n".join(_statements(e, memo))
 
 
 def sequence(stmts: list[Expr]) -> Expr:

@@ -17,6 +17,7 @@ from rescheck.cli import (
     EXIT_PARSE_ERROR,
     EXIT_RUNTIME_FAULT,
     EXIT_TYPE_ERROR,
+    EXIT_USAGE,
     EXIT_VIOLATION,
     ast_json,
     main,
@@ -345,6 +346,15 @@ class TestNitest:
         assert main(["nitest", "--trials", "0", "--json"]) == EXIT_OK
         assert len(builds) == 1
 
+    def test_a_bad_seed_env_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("IFC_SEED", "abc")
+        assert main(["nitest", "--trials", "1"]) == EXIT_USAGE == 2
+        assert capsys.readouterr() == (
+            "", "rescheck nitest: error: IFC_SEED must be an integer, got 'abc'\n"
+        )
+        assert main(["nitest", "--trials", "1", "--seed", "4", "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["seed"] == 4
+
     def test_explicit_seed_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("IFC_SEED", "9")
         assert main(["nitest", "--trials", "1", "--seed", "4", "--json"]) == EXIT_OK
@@ -377,3 +387,33 @@ class TestNitest:
         assert main(["nitest", "--trials", "1", "--fuel", "3", "--json"]) == EXIT_OK
         got = json.loads(capsys.readouterr().out)
         assert got["fuel"] == 3
+
+
+class TestModule:
+    """`python -m rescheck` behaves as the `rescheck` entry point, `cli:main`."""
+
+    ENTRY = "import sys; from rescheck.cli import main; sys.exit(main())"
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["check", "{ok}"], EXIT_OK),
+            (["check", "--trace", "{leak}"], EXIT_TYPE_ERROR),
+            (["nitest", "--bogus"], EXIT_USAGE),
+        ],
+        ids=["ok", "type error", "usage error"],
+    )
+    def test_module_runs_the_entry_point(self, src, args, code):
+        files = {"ok": src("let x = 1\nx + 2", "ok.resc"), "leak": src(HIGH_INTO_LOW, "leak.resc")}
+        args = [a.format(**files) for a in args]
+        env = {**os.environ, "PYTHONPATH": _SRC}
+        runs = [
+            subprocess.run(
+                [sys.executable, *how, *args], env=env, capture_output=True, text=True, timeout=60
+            )
+            for how in (["-m", "rescheck"], ["-c", self.ENTRY])
+        ]
+        module, entry = [(r.returncode, r.stdout, r.stderr) for r in runs]
+        assert module == entry
+        assert module[0] == code
+        assert module[1 if code == EXIT_OK else 2]

@@ -99,6 +99,32 @@ class TestJoinMeet:
         assert exc.value.operands == (HIGH, RefType(HIGH))
         assert str(exc.value) == "Incomparable: High() vs RefType(inner=High())"
 
+    def test_level_fast_path_agrees_with_leq(self):
+        """Two levels are joined and met by rank, without leq. Every pair
+        that has a level on one side, over the depth-2 universe, and every
+        pair of the depth-1 universe gets the operand that leq picks, or the
+        LatticeError where leq relates neither way."""
+
+        def by_leq(a, b, upper):
+            if leq(a, b):
+                return b if upper else a
+            if leq(b, a):
+                return a if upper else b
+            return LatticeError
+
+        def got(f, a, b):
+            try:
+                return f([a, b])
+            except LatticeError:
+                return LatticeError
+
+        levels, d1, d2 = enumerate_types(0), enumerate_types(1), enumerate_types(2)
+        pairs = {(a, b) for a in d1 for b in d1}
+        pairs |= {p for lv in levels for t in d2 for p in ((lv, t), (t, lv))}
+        for a, b in pairs:
+            assert got(join, a, b) is by_leq(a, b, upper=True), (a, b)
+            assert got(meet, a, b) is by_leq(a, b, upper=False), (a, b)
+
     def test_function_joins_through_comparability(self):
         f_small = FunType(LOW, HIGH, EMPTY)
         f_big = FunType(HIGH, LOW, EMPTY)

@@ -1,5 +1,8 @@
 """Typing rules: accepted judgments, rejected side conditions, traces."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from rescheck import (
@@ -15,7 +18,9 @@ from rescheck import (
     error_json,
     judgment_json,
     parse,
+    syntax,
     trace_check,
+    typechecker,
 )
 
 
@@ -371,3 +376,94 @@ class TestJsonViews:
         }
         assert "trace" not in out
         assert "trace" in error_json(exc.value, trace=True)
+
+
+class TestDispatch:
+    def concrete_exprs(self):
+        out, todo = set(), [syntax.Expr]
+        while todo:
+            cls = todo.pop()
+            todo.extend(cls.__subclasses__())
+            if cls is not syntax.Expr:
+                out.add(cls)
+        return out
+
+    def test_every_expr_class_has_exactly_one_rule_and_rule_name(self):
+        exprs = self.concrete_exprs()
+        assert len(exprs) == 15
+        assert set(typechecker._RULES) == exprs
+        names = [name for name, _ in typechecker._RULES.values()]
+        assert len(set(names)) == len(names)
+        for name, rule in typechecker._RULES.values():
+            assert getattr(typechecker._Checker, rule.__name__) is rule
+
+    @pytest.mark.parametrize(
+        "src, rule",
+        [
+            ("1", "Num"), ("true", "Bool"), ("()", "Unit"), ("x", "Var"), ("1 + x", "Bop"),
+            ("let y = 1", "Let-Base"), ("if true { 1 } else { 2 }", "If-Else"),
+            ("while false { () }", "While"), ("for i in 1 to 2 { () }", "For"),
+            ("1\n2", "Seq"), ("(z: low) => z", "Func"), ("f 1", "App"), ("ref(1)", "Ref"),
+            ("!r", "Deref"), ("r := 1", "Reassign"),
+        ],
+    )
+    def test_each_class_is_judged_by_its_rule(self, src, rule):
+        e = parse(src)
+        env = {"x": LOW, "f": FunType(LOW, LOW, EMPTY), "r": RefType(LOW)}
+        _, log = trace_check(env, LOW, e)
+        # The table names a let "Let"; its rule refines the frame's name.
+        assert typechecker._RULES[type(e)][0] == rule.removesuffix("-Base")
+        assert log[0].rule == rule
+
+    @pytest.mark.parametrize(
+        "e",
+        [42, "x", None, syntax.Expr(), syntax.Bop(syntax.BinOp.ADD, syntax.Num("1"), 42)],
+        ids=["int", "str", "None", "bare Expr", "inside a tree"],
+    )
+    def test_a_non_expr_is_a_type_error(self, e):
+        bad = e.rhs if isinstance(e, syntax.Bop) else e
+        with pytest.raises(TypeError) as err:
+            check({}, LOW, e)
+        assert str(err.value) == f"not an Expr: {bad!r}"
+
+
+class TestJudgment:
+    J = Judgment(LOW, EMPTY, {"x": RefType(HIGH)})
+
+    def test_is_frozen(self):
+        for name, value in (("ty", HIGH), ("effect", LOW), ("out_env", {})):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(self.J, name, value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(self.J, name)
+        # A slotted frozen dataclass has no room for a new attribute; Python
+        # 3.11 reports that as a TypeError from the frozen class's setter.
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            self.J.other = 1
+        assert not hasattr(self.J, "other")
+        assert self.J == Judgment(LOW, EMPTY, {"x": RefType(HIGH)})
+
+    def test_equality_is_by_fields(self):
+        assert self.J == Judgment(LOW, EMPTY, {"x": RefType(HIGH)})
+        assert self.J != Judgment(HIGH, EMPTY, {"x": RefType(HIGH)})
+        assert self.J != Judgment(LOW, LOW, {"x": RefType(HIGH)})
+        assert self.J != Judgment(LOW, EMPTY, {})
+        assert self.J != (LOW, EMPTY, {"x": RefType(HIGH)})
+
+    def test_repr(self):
+        assert repr(self.J) == (
+            "Judgment(ty=Low(), effect=Empty(), out_env={'x': RefType(inner=High())})"
+        )
+
+    def test_replace(self):
+        j = dataclasses.replace(self.J, ty=HIGH)
+        assert j == Judgment(HIGH, EMPTY, {"x": RefType(HIGH)})
+        assert self.J.ty == LOW
+        assert [f.name for f in dataclasses.fields(j)] == ["ty", "effect", "out_env"]
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        j = pickle.loads(pickle.dumps(self.J, protocol))
+        assert j == self.J
+        assert type(j) is Judgment
+        assert j.summary() == "Low @ ()"
