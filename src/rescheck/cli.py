@@ -44,18 +44,15 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, ensure_ascii=False, indent=2))
 
 
-def _read_source(path: str) -> bytes | None:
+def _parse_source(path: str, as_json: bool):
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            source = fh.read()
     except OSError as err:
-        print(f"error: cannot read {path}: {err.strerror or err}", file=sys.stderr)
-        return None
-
-
-def _parse_source(path: str, as_json: bool):
-    source = _read_source(path)
-    if source is None:
+        message = f"cannot read {path}: {err.strerror or err}"
+        print(f"error: {message}", file=sys.stderr)
+        if as_json:
+            _emit({"status": "error", "error": {"kind": "io", "message": message}})
         return None, EXIT_IO_ERROR
     try:
         return parse(source), EXIT_OK

@@ -4,6 +4,15 @@ statements, precedence climbing for binary operators.
 Statements are separated by newlines or semicolons; newlines inside
 parentheses are ignored. Application is juxtaposition and binds tighter
 than any operator, so `f x + 1` is `(f x) + 1`.
+
+`_scan` reads the source in one pass and fills four parallel lists, the
+token columns: each token's kind, text, line and column, ending with `eof`.
+The parser indexes those lists, so looking ahead is reading `kinds[i + 1]`
+and a token costs four list entries and no object of its own. `tokenize`
+zips the columns into one `Token` per token for callers that want them. A
+`Pos` is made only for a node, from the columns of the token where the node
+starts: most tokens (separators, operators, `=`, `)`) start no node, so an
+object per token would mostly be made to be thrown away.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ KEYWORDS = frozenset(
 # literal; 0 means no limit, as on Pythons before 3.10.7.
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
-# Alternatives are tried in order; tokenize refuses a word that starts with no letter (`_a`, `²`).
+# Alternatives are tried in order; _scan refuses a word that starts with no letter (`_a`, `²`).
 _TOKEN = re.compile(
     r"(?P<newline>\n)|[ \t\r]+|//[^\n]*|(?P<num>\d+)|(?P<word>\w+)"
     r"|(?P<sym>==|=>|:=|->|[(){};:=<>+\-*/!@])|(?P<bad>.)"
@@ -73,8 +82,13 @@ class Token(NamedTuple):
     col: int
 
 
-def tokenize(source: str) -> list[Token]:
-    toks: list[Token] = []
+def _scan(source: str) -> tuple[list[str], list[str], list[int], list[int]]:
+    """Each token's kind, text, line and column, in four parallel lists that
+    end with `eof`."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    lines: list[int] = []
+    cols: list[int] = []
     line, line_start, depth = 1, 0, 0  # depth: open parentheses, inside which newlines are blanks
     max_digits = _digit_limit()
     for m in _TOKEN.finditer(source):
@@ -84,35 +98,57 @@ def tokenize(source: str) -> list[Token]:
         text = m.group()
         col = m.start() - line_start + 1
         if kind == "newline":
-            if depth == 0:
-                toks.append(Token(kind, text, line, col))
+            if not depth:
+                kinds.append(kind)
+                texts.append(text)
+                lines.append(line)
+                cols.append(col)
             line, line_start = line + 1, m.end()
-        elif kind == "num" and max_digits and len(text) > max_digits:
-            raise ParseError(f"integer literal longer than {max_digits} digits", line, col)
-        elif kind == "num":
-            toks.append(Token(kind, text, line, col))
-        elif kind == "word" and text[0].isalpha():
-            toks.append(Token(text if text in KEYWORDS else "ident", text, line, col))
+            continue
+        if kind == "word" and text[0].isalpha():
+            kind = text if text in KEYWORDS else "ident"
         elif kind == "sym":
-            depth = max(0, depth + (text == "(") - (text == ")"))
-            toks.append(Token(text, text, line, col))
-        else:
+            kind = text
+            if text == "(":
+                depth += 1
+            elif text == ")" and depth:
+                depth -= 1
+        elif kind != "num":
             raise ParseError(f"unexpected character {text[0]!r}", line, col)
-    toks.append(Token("eof", "", line, len(source) - line_start + 1))
-    return toks
+        elif max_digits and len(text) > max_digits:
+            raise ParseError(f"integer literal longer than {max_digits} digits", line, col)
+        kinds.append(kind)
+        texts.append(text)
+        lines.append(line)
+        cols.append(col)
+    kinds.append("eof")
+    texts.append("")
+    lines.append(line)
+    cols.append(len(source) - line_start + 1)
+    return kinds, texts, lines, cols
+
+
+def tokenize(source: str) -> list[Token]:
+    """The token columns as one `Token` per token."""
+    return [Token(*t) for t in zip(*_scan(source))]
 
 
 _ATOM_START = frozenset(
     ["num", "ident", "true", "false", "(", "!", "ref", "if", "while", "for", "{"]
 )
 
-# Each binary operator by its token; syntax.BINOP_LEVEL gives its level.
-_BINOPS = {op.value: op for op in BINOP_LEVEL}
+# Each binary operator's token to the operator and its syntax.BINOP_LEVEL.
+_BINOPS = {op.value: (op, level) for op, level in BINOP_LEVEL.items()}
+
+_LET_LEVELS = {"low": LOW, "high": HIGH}
 
 
 class _Parser:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
+    """Recursive descent over the scanner's columns; `i` indexes them and
+    never passes the final `eof` before the parse ends."""
+
+    def __init__(self, source: str):
+        self.kinds, self.texts, self.lines, self.cols = _scan(source)
         self.i = 0
         # While parsing an if/while/for header a brace opens the body, so
         # blocks are not atoms there.
@@ -120,153 +156,122 @@ class _Parser:
 
     # -- token helpers ------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        if not ahead:
-            return self.toks[self.i]  # advance never moves past the final eof
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def pos_at(self, i: int) -> Pos:
+        return Pos(self.lines[i], self.cols[i])
 
-    def advance(self) -> Token:
-        t = self.toks[self.i]
-        if t.kind != "eof":
-            self.i += 1
-        return t
+    def error(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+        """An error at the current token."""
+        i = self.i
+        return ParseError(message, self.lines[i], self.cols[i], expected)
 
-    def expect(self, kind: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(
-                f"expected {kind!r} but found {t.text or t.kind!r}",
-                t.line,
-                t.col,
-                expected=(kind,),
-            )
-        return self.advance()
+    def found(self) -> str:
+        i = self.i
+        return repr(self.texts[i] or self.kinds[i])
+
+    def expect(self, kind: str) -> str:
+        """Consume a token of `kind` and return its text."""
+        i = self.i
+        if self.kinds[i] != kind:
+            raise self.error(f"expected {kind!r} but found {self.found()}", (kind,))
+        self.i = i + 1
+        return self.texts[i]
 
     def skip_newlines(self) -> None:
-        while self.peek().kind == "newline":
-            self.advance()
+        kinds, i = self.kinds, self.i
+        while kinds[i] == "newline":
+            i += 1
+        self.i = i
 
     def skip_separators(self) -> bool:
-        saw = False
-        while self.peek().kind in ("newline", ";"):
-            self.advance()
-            saw = True
+        kinds, i = self.kinds, self.i
+        while kinds[i] == "newline" or kinds[i] == ";":
+            i += 1
+        saw, self.i = i != self.i, i
         return saw
-
-    def pos(self) -> Pos:
-        t = self.peek()
-        return Pos(t.line, t.col)
 
     # -- grammar ------------------------------------------------------------
 
     def parse_program(self) -> Expr:
         self.skip_separators()
-        e = self.parse_seq(stop=("eof",))
-        self.skip_separators()
+        e = self.parse_seq("eof")
         self.expect("eof")
         return e
 
-    def parse_seq(self, stop: tuple[str, ...]) -> Expr:
+    def parse_seq(self, stop: str) -> Expr:
+        """Statements up to `stop` or the end, and the separators after them."""
+        kinds = self.kinds
         items = [self.parse_expr()]
         while True:
             saw_sep = self.skip_separators()
-            nxt = self.peek().kind
-            if nxt in stop or nxt == "eof":
+            nxt = kinds[self.i]
+            if nxt == stop or nxt == "eof":
                 break
             if not saw_sep:
-                t = self.peek()
-                raise ParseError(
-                    f"unexpected {t.text or t.kind!r}", t.line, t.col, expected=(";",) + stop
-                )
+                raise self.error(f"unexpected {self.found()}", (";", stop))
             items.append(self.parse_expr())
         return sequence(items)
 
     def parse_expr(self) -> Expr:
-        t = self.peek()
-        if t.kind == "let":
+        kinds, i = self.kinds, self.i
+        k = kinds[i]
+        if k == "let":
             return self.parse_let()
-        if t.kind == "ident" and self.peek(1).kind == ":=":
-            p = self.pos()
-            name = self.advance().text
-            self.advance()
+        if k == "ident" and kinds[i + 1] == ":=":
+            self.i = i + 2
             self.skip_newlines()
-            return Assign(name, self.parse_expr(), pos=p)
-        if t.kind == "(" and self.peek(1).kind == "ident" and self.peek(2).kind == ":":
+            return Assign(self.texts[i], self.parse_expr(), pos=self.pos_at(i))
+        if k == "(" and kinds[i + 1] == "ident" and kinds[i + 2] == ":":
             return self.parse_func()
         return self.parse_binary(CMP_LEVEL)
 
     def parse_let(self) -> Expr:
-        p = self.pos()
-        self.expect("let")
-        name = self.expect("ident").text
+        p = self.pos_at(self.i)
+        self.i += 1  # 'let'
+        name = self.expect("ident")
         annot: SecType | None = None
-        if self.peek().kind == ":":
-            self.advance()
-            lvl = self.peek()
-            if lvl.kind == "low":
-                annot = LOW
-            elif lvl.kind == "high":
-                annot = HIGH
-            else:
-                raise ParseError(
-                    "let annotations must be 'low' or 'high'",
-                    lvl.line,
-                    lvl.col,
-                    expected=("low", "high"),
-                )
-            self.advance()
+        if self.kinds[self.i] == ":":
+            self.i += 1
+            annot = _LET_LEVELS.get(self.kinds[self.i])
+            if annot is None:
+                raise self.error("let annotations must be 'low' or 'high'", ("low", "high"))
+            self.i += 1
         self.expect("=")
         self.skip_newlines()
         return Let(name, annot, self.parse_expr(), pos=p)
 
     def parse_func(self) -> Expr:
-        p = self.pos()
-        self.expect("(")
-        param = self.expect("ident").text
-        self.expect(":")
+        """`(x: t) => e`, once the caller has seen `(`, a name and `:`."""
+        i = self.i
+        self.i = i + 3
         annot = self.parse_type()
         self.expect(")")
         self.expect("=>")
         self.skip_newlines()
-        body = self.parse_expr()
-        return Func(param, annot, body, pos=p)
+        return Func(self.texts[i + 1], annot, self.parse_expr(), pos=self.pos_at(i))
 
     def parse_binary(self, min_level: int) -> Expr:
         """Operators that bind at `min_level` or tighter, by precedence
         climbing: a chain associates to the left, its right operands bind one
         level tighter, and a comparison ends the chain, so comparisons do
-        not chain."""
-        p = self.pos()
-        e = self.parse_operand()
-        while (op := _BINOPS.get(self.peek().kind)) is not None:
-            level = BINOP_LEVEL[op]
-            if level < min_level:
-                break
-            self.advance()
+        not chain. An operand is a negative literal, or an application,
+        which folds juxtaposed atoms to the left."""
+        kinds, start = self.kinds, self.i
+        if kinds[start] == "-":
+            self.i += 1
+            e: Expr = Num("-" + self.expect("num"), pos=self.pos_at(start))
+        else:
+            e = self.parse_atom()
+            while (k := kinds[self.i]) in _ATOM_START and not (k == "{" and self.no_block):
+                e = App(e, self.parse_atom(), pos=e.pos)
+        p = None  # every operator of the chain takes the position where it starts
+        while (entry := _BINOPS.get(kinds[self.i])) is not None and entry[1] >= min_level:
+            op, level = entry
+            self.i += 1
             self.skip_newlines()
+            p = p or self.pos_at(start)
             e = Bop(op, e, self.parse_binary(level + 1), pos=p)
             if level == CMP_LEVEL:
                 break
-        return e
-
-    def _at_atom(self) -> bool:
-        k = self.peek().kind
-        if k == "{" and self.no_block > 0:
-            return False
-        return k in _ATOM_START
-
-    def parse_operand(self) -> Expr:
-        """An operator's operand: a negative literal, or an application,
-        which folds juxtaposed atoms to the left."""
-        t = self.peek()
-        if t.kind == "-":
-            self.advance()
-            num = self.expect("num")
-            return Num("-" + num.text, pos=Pos(t.line, t.col))
-        e = self.parse_atom()
-        while self._at_atom():
-            arg = self.parse_atom()
-            e = App(e, arg, pos=e.pos)
         return e
 
     def parse_header_expr(self) -> Expr:
@@ -280,100 +285,81 @@ class _Parser:
     def parse_block(self) -> Expr:
         self.expect("{")
         self.skip_separators()
-        e = self.parse_seq(stop=("}",))
-        self.skip_separators()
+        e = self.parse_seq("}")
         self.expect("}")
         return e
 
     def parse_atom(self) -> Expr:
-        t = self.peek()
-        p = Pos(t.line, t.col)
-        match t.kind:
-            case "num":
-                self.advance()
-                return Num(t.text, pos=p)
-            case "true":
-                self.advance()
-                return Bool(True, pos=p)
-            case "false":
-                self.advance()
-                return Bool(False, pos=p)
+        kinds, i = self.kinds, self.i
+        k = kinds[i]
+        p = self.pos_at(i)
+        self.i = i + 1
+        match k:
             case "ident":
-                self.advance()
-                return Var(t.text, pos=p)
+                return Var(self.texts[i], pos=p)
+            case "num":
+                return Num(self.texts[i], pos=p)
+            case "true" | "false":
+                return Bool(k == "true", pos=p)
             case "!":
-                self.advance()
-                name = self.expect("ident")
-                return Deref(name.text, pos=p)
+                return Deref(self.expect("ident"), pos=p)
             case "ref":
-                self.advance()
                 self.expect("(")
-                inner = self.parse_seq(stop=(")",))
+                inner = self.parse_seq(")")
                 self.expect(")")
                 return Ref(inner, pos=p)
             case "if":
-                self.advance()
                 self.skip_newlines()
                 cond = self.parse_header_expr()
                 then = self.parse_block()
                 self.skip_newlines()
                 self.expect("else")
                 self.skip_newlines()
-                orelse = self.parse_block()
-                return If(cond, then, orelse, pos=p)
+                return If(cond, then, self.parse_block(), pos=p)
             case "while":
-                self.advance()
                 self.skip_newlines()
                 cond = self.parse_header_expr()
-                body = self.parse_block()
-                return While(cond, body, pos=p)
+                return While(cond, self.parse_block(), pos=p)
             case "for":
-                self.advance()
-                var = self.expect("ident").text
+                var = self.expect("ident")
                 self.expect("in")
                 self.skip_newlines()
                 start = self.parse_header_expr()
                 self.expect("to")
                 self.skip_newlines()
                 stop = self.parse_header_expr()
-                body = self.parse_block()
-                return For(var, start, stop, body, pos=p)
+                return For(var, start, stop, self.parse_block(), pos=p)
             case "{":
+                self.i = i
                 return self.parse_block()
             case "(":
-                self.advance()
-                if self.peek().kind == ")":
-                    self.advance()
+                if kinds[i + 1] == ")":
+                    self.i = i + 2
                     return Unit(pos=p)
-                if self.peek().kind == "ident" and self.peek(1).kind == ":":
-                    # step back and let parse_func consume the '('
-                    self.i -= 1
+                if kinds[i + 1] == "ident" and kinds[i + 2] == ":":
+                    self.i = i
                     return self.parse_func()
-                e = self.parse_seq(stop=(")",))
+                e = self.parse_seq(")")
                 self.expect(")")
                 return e
-        raise ParseError(
-            f"expected an expression but found {t.text or t.kind!r}", t.line, t.col
-        )
+        self.i = i
+        raise self.error(f"expected an expression but found {self.found()}")
 
     # -- types --------------------------------------------------------------
 
     def parse_type(self) -> SecType:
-        t = self.peek()
-        match t.kind:
+        i = self.i
+        self.i = i + 1
+        match self.kinds[i]:
             case "low":
-                self.advance()
                 return LOW
             case "high":
-                self.advance()
                 return HIGH
             case "ref":
-                self.advance()
                 return RefType(self.parse_type())
             case "(":
-                self.advance()
-                if self.peek().kind == ")":
-                    self.advance()
+                if self.kinds[i + 1] == ")":
+                    self.i = i + 2
                     return EMPTY
                 param = self.parse_type()
                 self.expect("->")
@@ -382,7 +368,8 @@ class _Parser:
                 latent = self.parse_type()
                 self.expect(")")
                 return FunType(param, result, latent)
-        raise ParseError(f"expected a type but found {t.text or t.kind!r}", t.line, t.col)
+        self.i = i
+        raise self.error(f"expected a type but found {self.found()}")
 
 
 def _parser(source: str | bytes) -> _Parser:
@@ -391,7 +378,7 @@ def _parser(source: str | bytes) -> _Parser:
             source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"invalid UTF-8 input: {exc.reason}", 1, 1) from None
-    return _Parser(tokenize(source))
+    return _Parser(source)
 
 
 def parse(source: str | bytes) -> Expr:

@@ -11,12 +11,20 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Pos:
-    """1-based line/column of a token in the source text."""
+    """1-based line/column where a node starts in the source text."""
 
     line: int
     col: int
+
+    def __init__(self, line: int, col: int):
+        _set_line(self, line)
+        _set_col(self, col)
+
+
+# The slots' own setters, without the frozen class's __setattr__ path.
+_set_line, _set_col = Pos.line.__set__, Pos.col.__set__
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,23 @@ class TestCheck:
         assert main(["check", "/nonexistent/x.resc"]) == EXIT_IO_ERROR
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "parse"])
+    @pytest.mark.parametrize(
+        "make, reason",
+        [(lambda d: d / "missing.resc", "No such file or directory"), (lambda d: d, "Is a directory")],
+        ids=["missing file", "directory"],
+    )
+    def test_unreadable_path_json(self, tmp_path, capsys, command, make, reason):
+        path = str(make(tmp_path))
+        assert main([command, "--json", path]) == EXIT_IO_ERROR
+        captured = capsys.readouterr()
+        message = f"cannot read {path}: {reason}"
+        assert json.loads(captured.out) == {
+            "status": "error",
+            "error": {"kind": "io", "message": message},
+        }
+        assert captured.err == f"error: {message}\n"
+
 
 class TestRun:
     def test_value_and_store(self, src, capsys):

@@ -1,6 +1,8 @@
 """Syntax trees: equality, well-formedness, and pretty printing."""
 
+import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -163,6 +165,42 @@ class TestPositions:
     def test_value_differences_still_matter(self):
         assert Num("3") != Num("4")
         assert Var("x") != Var("y")
+
+    def test_pos_is_frozen_and_slotted(self):
+        p = Pos(2, 7)
+        for name in ("line", "col"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(p, name)
+        # A slotted frozen dataclass has no room for a new attribute; Python
+        # 3.11 reports that as a TypeError from the frozen class's setter.
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            p.other = 1
+        assert not hasattr(p, "__dict__")
+        assert (p.line, p.col) == (2, 7)
+
+    def test_pos_compares_and_hashes_by_value(self):
+        assert Pos(2, 7) == Pos(2, 7) == Pos(line=2, col=7)
+        assert Pos(2, 7) != Pos(7, 2)
+        assert Pos(2, 7) != (2, 7)
+        assert hash(Pos(2, 7)) == hash(Pos(2, 7))
+        assert len({Pos(1, 1), Pos(1, 1), Pos(1, 2)}) == 2
+        assert repr(Pos(2, 7)) == "Pos(line=2, col=7)"
+
+    def test_pos_replace(self):
+        p = Pos(2, 7)
+        assert dataclasses.replace(p, col=9) == Pos(2, 9)
+        assert p == Pos(2, 7)
+        assert [f.name for f in dataclasses.fields(p)] == ["line", "col"]
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pos_pickle_round_trip(self, protocol):
+        p = pickle.loads(pickle.dumps(Pos(2, 7), protocol))
+        assert p == Pos(2, 7)
+        assert type(p) is Pos
+        node = pickle.loads(pickle.dumps(Var("x", pos=Pos(3, 4)), protocol))
+        assert node.pos == Pos(3, 4)
 
 
 class TestPretty:
