@@ -33,6 +33,7 @@ from .interpreter import (
     run_program,
 )
 from .harness import (
+    CorpusError,
     CorpusReport,
     CorpusRow,
     Discarded,

@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .harness import GenConfig, SUITES, run_corpus, run_suite
+from .harness import CorpusError, GenConfig, SUITES, run_corpus, run_suite
 from .interpreter import (
     DepthExceeded,
     Ok,
@@ -181,12 +181,16 @@ def cmd_nitest(args: argparse.Namespace) -> int:
             msg = f"IFC_SEED must be an integer, got {seed!r}"
             print(f"rescheck nitest: error: {msg}", file=sys.stderr)
             return EXIT_USAGE
+    corpus = None
+    if args.corpus is not None:  # before the trials, so a bad corpus fails fast
+        try:
+            corpus = run_corpus(args.corpus or None)
+        except CorpusError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_IO_ERROR
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     cfg = GenConfig(rng_seed=args.seed, fuel=args.fuel, trials=args.trials)
     reports = [run_suite(name, cfg) for name in suites]
-    corpus = None
-    if args.corpus is not None:
-        corpus = run_corpus(args.corpus or None)
     violations = sum(len(r.violations) for r in reports)
     failed = violations > 0 or (corpus is not None and not corpus.ok)
     if args.json:
@@ -212,6 +216,16 @@ def cmd_nitest(args: argparse.Namespace) -> int:
 # Argument parsing -------------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    """The argparse type of `--trials` and `--fuel`: an integer, 0 or more."""
+    try:
+        if (n := int(text)) >= 0:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer of 0 or more, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rescheck",
@@ -228,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="typecheck then evaluate a source file")
     p_run.add_argument("file")
-    p_run.add_argument("--fuel", type=int, default=DEFAULT_FUEL, help="step budget")
+    p_run.add_argument("--fuel", type=_count, default=DEFAULT_FUEL, help="step budget")
     p_run.add_argument(
         "--unsafe", action="store_true", help="skip the typechecker and evaluate anyway"
     )
@@ -240,13 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_parse.set_defaults(fn=cmd_parse)
 
     p_nitest = sub.add_parser("nitest", help="randomized non-interference testing")
-    p_nitest.add_argument("--trials", type=int, default=200, help="trials per suite")
+    p_nitest.add_argument("--trials", type=_count, default=200, help="trials per suite")
     p_nitest.add_argument(
         "--seed",
         type=int,
         help="base RNG seed (defaults to $IFC_SEED or 42)",
     )
-    p_nitest.add_argument("--fuel", type=int, default=DEFAULT_FUEL, help="step budget per run")
+    p_nitest.add_argument("--fuel", type=_count, default=DEFAULT_FUEL, help="step budget per run")
     p_nitest.add_argument(
         "--suite",
         choices=[*SUITES, "all"],
@@ -275,7 +289,17 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone: send what is left to devnull, so the
+        # flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IO_ERROR
 
 
 if __name__ == "__main__":

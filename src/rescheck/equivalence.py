@@ -26,8 +26,9 @@ from .interpreter import (
     UNIT,
     UnitV,
     Value,
+    evaluate,
 )
-from .syntax import Empty, FunType, High, Low, RefType, SecType
+from .syntax import Empty, FunType, High, Low, Num, RefType, SecType, Var
 
 # Fuel for each sampled closure run. Generated closure bodies are small;
 # anything that needs more than this is treated as inconclusive.
@@ -126,8 +127,6 @@ def canonical_closure(t: FunType) -> ClosV | None:
     """A closed, well-typed inhabitant of t, if one is easy to build:
     the identity when the result type is the parameter type, else a
     constant `0` when the result is Low."""
-    from .syntax import Num, Var  # local import keeps startup light
-
     if not isinstance(t.latent, Empty):
         return None
     if t.result == t.param:
@@ -176,8 +175,6 @@ class _Equiv:
             return False
         if v1.env.keys() != v2.env.keys():
             return False
-        from .interpreter import evaluate
-
         self.stats.closure_pairs_sampled += 1
         result_t = t.result.inner if isinstance(t.result, RefType) else t.result
         for _ in range(self.cfg.closure_samples):

@@ -727,10 +727,31 @@ def default_corpus_dir() -> Path:
     return Path(__file__).parent / "corpus"
 
 
+class CorpusError(Exception):
+    """A corpus's expectations.json cannot be read or is malformed; the
+    message names the file."""
+
+
+def _read_expectations(path: Path) -> dict:
+    try:
+        expectations = json.loads(path.read_text())
+    except OSError as err:
+        raise CorpusError(f"cannot read {path}: {err.strerror or err}") from None
+    except ValueError as err:  # not UTF-8, or not JSON
+        raise CorpusError(f"{path}: not valid JSON: {err}") from None
+    if not isinstance(expectations, dict):
+        raise CorpusError(f"{path}: expected an object of entries by file name")
+    for name, want in expectations.items():
+        if not isinstance(want, dict) or "verdict" not in want:
+            raise CorpusError(f'{path}: entry {name!r} has no "verdict"')
+    return expectations
+
+
 def run_corpus(corpus_dir: str | Path | None = None) -> CorpusReport:
-    """Check every corpus program against its recorded verdict."""
+    """Check every corpus program against its recorded verdict. Raises
+    CorpusError before checking any program if expectations.json is bad."""
     root = Path(corpus_dir) if corpus_dir is not None else default_corpus_dir()
-    expectations = json.loads((root / "expectations.json").read_text())
+    expectations = _read_expectations(root / "expectations.json")
     rows: list[CorpusRow] = []
     for name, want in expectations.items():
         want_verdict = want["verdict"]

@@ -4,12 +4,15 @@ check(env, pc, e) is syntax directed: each expression form selects exactly
 one rule, with `let` dispatching on the annotation or on the shape of the
 inferred right-hand type. `_RULES` maps each `Expr` class to its rule name
 and the `_Checker` method that applies it, so a node costs one lookup to
-dispatch, and anything else raises TypeError. Every rule application logs a
-frame whose text is one memo lookup in `pretty` (a chain of statements
-slices its first frame's text). Judgments carry the expression's type, its
-write effect and the updated type environment. Failures raise CheckError
-with the rule name, the side condition that failed, the source position and
-the derivation path from the root to the failing rule.
+dispatch, and anything else raises TypeError. A rule concludes with the
+paper's triple (t, eff, Γ′): the expression's type, its write effect and the
+updated type environment, as a plain tuple that the rule over it unpacks
+into the names its side conditions quote. One check returns one `Judgment`,
+built from the root's triple. Every rule application logs a frame whose text
+is one memo lookup in `pretty` (a chain of statements slices its first
+frame's text). Failures raise CheckError with the rule name, the side
+condition that failed, the source position and the derivation path from the
+root to the failing rule.
 """
 
 from __future__ import annotations
@@ -51,31 +54,23 @@ from .syntax import (
 )
 
 TEnv = dict[str, SecType]
+Judged = tuple[SecType, SecType, TEnv]  # a rule's conclusion (t, eff, Γ′)
 
 
 def _summary(ty: SecType, effect: SecType) -> str:
     return f"{display_type(ty)} @ {display_type(effect)}"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True)
 class Judgment:
+    """A whole check's conclusion (t, eff, Γ′), from the root's rule."""
+
     ty: SecType
     effect: SecType
     out_env: TEnv
 
-    def __init__(self, ty: SecType, effect: SecType, out_env: TEnv):
-        _set_ty(self, ty)
-        _set_effect(self, effect)
-        _set_env(self, out_env)
-
     def summary(self) -> str:
         return _summary(self.ty, self.effect)
-
-
-# The slots' own setters, without the frozen class's __setattr__ path.
-_set_ty, _set_effect, _set_env = (
-    Judgment.ty.__set__, Judgment.effect.__set__, Judgment.out_env.__set__
-)
 
 
 @dataclass
@@ -125,8 +120,9 @@ class CheckError(Exception):
 
 
 class _Checker:
-    """One check. Each rule is a method `(frame, env, pc, e) -> Judgment`,
-    found by the node's class in `_RULES`; it may refine `frame.rule`."""
+    """One check. Each rule is a method `(frame, env, pc, e) -> (t, eff, Γ′)`,
+    found by the node's class in `_RULES`; it may refine `frame.rule`. A rule
+    unpacks each premise's triple into the names its conditions use."""
 
     def __init__(self) -> None:
         self.log: list[TraceFrame] = []
@@ -137,7 +133,7 @@ class _Checker:
         path[-1].rule, path[-1].failed = rule, condition
         raise CheckError(rule, condition, e.pos, path)
 
-    def check(self, env: TEnv, pc: SecType, e: Expr) -> Judgment:
+    def check(self, env: TEnv, pc: SecType, e: Expr) -> Judged:
         """Apply e's rule under a new frame."""
         try:
             name, rule = _RULES[type(e)]
@@ -145,9 +141,9 @@ class _Checker:
             raise TypeError(f"not an Expr: {e!r}") from None
         frame = TraceFrame(name, pretty(e, self.text))
         self.log.append(frame)
-        j = rule(self, frame, env, pc, e)
-        frame.judged = j.ty, j.effect
-        return j
+        judged = rule(self, frame, env, pc, e)
+        frame.judged = judged[:2]
+        return judged
 
     def _join(self, parts: list[SecType], rule: str, condition: str, e: Expr) -> SecType:
         try:
@@ -156,167 +152,160 @@ class _Checker:
             self.fail(rule, condition, e)
             raise AssertionError  # unreachable
 
-    def _num(self, frame: TraceFrame, env: TEnv, pc: SecType, e: Expr) -> Judgment:
-        return Judgment(LOW, EMPTY, env)
+    def _num(self, frame: TraceFrame, env: TEnv, pc: SecType, e: Expr) -> Judged:
+        return LOW, EMPTY, env
 
     _bool = _unit = _num
 
-    def _var(self, frame: TraceFrame, env: TEnv, pc: SecType, e: Var) -> Judgment:
+    def _var(self, frame: TraceFrame, env: TEnv, pc: SecType, e: Var) -> Judged:
         t = env.get(e.name)
         if t is None:
             self.fail("Var", "Γ(x) = t", e)
-        return Judgment(t, EMPTY, env)
+        return t, EMPTY, env
 
-    def _bop(self, frame: TraceFrame, env: TEnv, pc: SecType, e: Bop) -> Judgment:
-        j1 = self.check(env, pc, e.lhs)
-        j2 = self.check(env, pc, e.rhs)
-        if not (is_base(j1.ty) and is_base(j2.ty)):
+    def _bop(self, frame: TraceFrame, env: TEnv, pc: SecType, e: Bop) -> Judged:
+        t1, t2, _ = self.check(env, pc, e.lhs)
+        t3, t4, _ = self.check(env, pc, e.rhs)
+        if not (is_base(t1) and is_base(t3)):
             self.fail("Bop", "t1, t3 ∈ {Low, High}", e)
-        t5 = self._join([j1.ty, j2.ty], "Bop", "t5 = ⊔{t1, t3}", e)
-        return Judgment(t5, meet([j1.effect, j2.effect]), env)
+        t5 = self._join([t1, t3], "Bop", "t5 = ⊔{t1, t3}", e)
+        return t5, meet([t2, t4]), env
 
-    def _let(self, frame: TraceFrame, env: TEnv, pc: SecType, e: Let) -> Judgment:
-        x, annot, rhs = e.name, e.annot, e.rhs
-        if annot is not None:
+    def _let(self, frame: TraceFrame, env: TEnv, pc: SecType, e: Let) -> Judged:
+        x, t1, rhs = e.name, e.annot, e.rhs
+        if t1 is not None:
             frame.rule = "Let-n"
-            if not is_base(annot):
+            if not is_base(t1):
                 self.fail("Let-n", "t1, t2 ∈ {Low, High}", e)
-            j = self.check(env, pc, rhs)
-            if not is_base(j.ty):
+            t2, t3, _ = self.check(env, pc, rhs)
+            if not is_base(t2):
                 self.fail("Let-n", "t1, t2 ∈ {Low, High}", e)
-            if not leq(j.ty, annot):
+            if not leq(t2, t1):
                 self.fail("Let-n", "t1 ⊒ t2", e)
-            if not leq(pc, annot):
+            if not leq(pc, t1):
                 self.fail("Let-n", "t1 ⊒ pc", e)
-            t4 = meet([j.effect, annot])
-            return Judgment(LOW, t4, {**env, x: annot})
+            return LOW, meet([t3, t1]), {**env, x: t1}
         if isinstance(rhs, Func):
             # The binding form is known before the premise, so the
             # rule's own condition is reported ahead of body errors.
             frame.rule = "Let-Base-Func"
             if not leq(pc, LOW):
                 self.fail("Let-Base-Func", "Low ⊒ pc", e)
-        j = self.check(env, pc, rhs)
-        match j.ty:
+        ty, t2, _ = self.check(env, pc, rhs)
+        match ty:
             case FunType():
                 frame.rule = "Let-Base-Func"
                 if not leq(pc, LOW):
                     self.fail("Let-Base-Func", "Low ⊒ pc", e)
-                return Judgment(LOW, LOW, {**env, x: j.ty})
-            case RefType(inner):
+                return LOW, LOW, {**env, x: ty}
+            case RefType(inner=t1):  # rhs : ref t1 @ t2
                 frame.rule = "Let-Base-Ref"
-                if not is_base(inner):
+                if not is_base(t1):
                     self.fail("Let-Base-Ref", "t1 ∈ {Low, High}", e)
-                t3 = meet([j.effect, inner])
+                t3 = meet([t2, t1])
                 if not leq(pc, t3):
                     self.fail("Let-Base-Ref", "t3 ⊒ pc", e)
-                return Judgment(LOW, t3, {**env, x: j.ty})
-            case _:
+                return LOW, t3, {**env, x: ty}
+            case t1:  # rhs : t1 @ t2
                 frame.rule = "Let-Base"
-                if not is_base(j.ty):
+                if not is_base(t1):
                     self.fail("Let-Base", "t1 ∈ {Low, High}", e)
-                if not leq(pc, j.ty):
+                if not leq(pc, t1):
                     self.fail("Let-Base", "t1 ⊒ pc", e)
-                t3 = meet([j.ty, j.effect])
-                return Judgment(LOW, t3, {**env, x: j.ty})
+                return LOW, meet([t1, t2]), {**env, x: t1}
 
-    def _if(self, frame: TraceFrame, env: TEnv, pc: SecType, e: If) -> Judgment:
-        j1 = self.check(env, pc, e.cond)
-        if not is_base(j1.ty):
+    def _if(self, frame: TraceFrame, env: TEnv, pc: SecType, e: If) -> Judged:
+        t1, t2, _ = self.check(env, pc, e.cond)
+        if not is_base(t1):
             self.fail("If-Else", "t1 ∈ {Low, High}", e)
-        pc2 = join([pc, j1.ty])
-        j2 = self.check(env, pc2, e.then)
-        j3 = self.check(env, pc2, e.orelse)
-        t7 = self._join([j1.ty, j2.ty, j3.ty], "If-Else", "t7 = ⊔{t1, t3, t5}", e)
-        t8 = meet([j1.effect, j2.effect, j3.effect])
-        return Judgment(t7, t8, env)
+        pc2 = join([pc, t1])
+        t3, t4, _ = self.check(env, pc2, e.then)
+        t5, t6, _ = self.check(env, pc2, e.orelse)
+        t7 = self._join([t1, t3, t5], "If-Else", "t7 = ⊔{t1, t3, t5}", e)
+        return t7, meet([t2, t4, t6]), env
 
-    def _while(self, frame: TraceFrame, env: TEnv, pc: SecType, e: While) -> Judgment:
-        j1 = self.check(env, pc, e.cond)
-        if not is_base(j1.ty):
+    def _while(self, frame: TraceFrame, env: TEnv, pc: SecType, e: While) -> Judged:
+        t1, t2, _ = self.check(env, pc, e.cond)
+        if not is_base(t1):
             self.fail("While", "t1 ∈ {Low, High}", e)
-        pc2 = join([pc, j1.ty])
-        j2 = self.check(env, pc2, e.body)
-        return Judgment(LOW, meet([j1.effect, j2.effect]), env)
+        _, t4, _ = self.check(env, join([pc, t1]), e.body)
+        return LOW, meet([t2, t4]), env
 
-    def _for(self, frame: TraceFrame, env: TEnv, pc: SecType, e: For) -> Judgment:
-        j1 = self.check(env, pc, e.start)
-        j2 = self.check(env, pc, e.stop)
-        if not (is_base(j1.ty) and is_base(j2.ty)):
+    def _for(self, frame: TraceFrame, env: TEnv, pc: SecType, e: For) -> Judged:
+        t1, t2, _ = self.check(env, pc, e.start)
+        t3, t4, _ = self.check(env, pc, e.stop)
+        if not (is_base(t1) and is_base(t3)):
             self.fail("For", "t1, t3 ∈ {Low, High}", e)
-        pc2 = join([pc, j1.ty, j2.ty])
-        j3 = self.check({**env, e.var: pc2}, pc2, e.body)
-        t8 = meet([j1.effect, j2.effect, j3.effect])
-        return Judgment(LOW, t8, env)
+        pc2 = join([pc, t1, t3])
+        _, t6, _ = self.check({**env, e.var: pc2}, pc2, e.body)
+        return LOW, meet([t2, t4, t6]), env
 
-    def _seq(self, frame: TraceFrame, env: TEnv, pc: SecType, e: Seq) -> Judgment:
+    def _seq(self, frame: TraceFrame, env: TEnv, pc: SecType, e: Seq) -> Judged:
         """Down a chain of statements each link's frame is pushed and its
         `first` checked in turn; the chain's frames share one text, and are
         judged from the last statement back."""
         spine = []  # each link's frame, with its `first`'s effect
         while type(e) is Seq:
-            j = self.check(env, pc, e.first)
-            spine.append((frame, j.effect))
-            env = j.out_env
+            _, first_eff, env = self.check(env, pc, e.first)
+            spine.append((frame, first_eff))
             start = frame.start + len(pretty_line(e.first, self.text)) + 1
             e = e.second
             name, rule = _RULES[type(e)]  # an Expr: pretty has rendered the whole chain
             frame = TraceFrame(name, frame.text, start)
             self.log.append(frame)
-        j = rule(self, frame, env, pc, e)
-        frame.judged = j.ty, j.effect
-        for link, effect in reversed(spine):
-            j = Judgment(j.ty, meet([effect, j.effect]), j.out_env)
-            link.judged = j.ty, j.effect
-        return j
+        t, eff, env = rule(self, frame, env, pc, e)
+        frame.judged = t, eff
+        for link, first_eff in reversed(spine):
+            eff = meet([first_eff, eff])
+            link.judged = t, eff
+        return t, eff, env
 
-    def _func(self, frame: TraceFrame, env: TEnv, pc: SecType, e: Func) -> Judgment:
-        if not well_formed(e.annot):
+    def _func(self, frame: TraceFrame, env: TEnv, pc: SecType, e: Func) -> Judged:
+        t1 = e.annot
+        if not well_formed(t1):
             self.fail("Func", "t1 well-formed", e)
-        j = self.check({**env, e.param: e.annot}, pc, e.body)
-        if not leq(pc, j.effect):
+        t2, t3, _ = self.check({**env, e.param: t1}, pc, e.body)
+        if not leq(pc, t3):
             self.fail("Func", "t3 ⊒ pc", e)
-        return Judgment(FunType(e.annot, j.ty, j.effect), EMPTY, env)
+        return FunType(t1, t2, t3), EMPTY, env
 
-    def _app(self, frame: TraceFrame, env: TEnv, pc: SecType, e: App) -> Judgment:
-        j2 = self.check(env, pc, e.arg)  # argument is typed first
-        j1 = self.check(env, pc, e.fn)
-        ft = j1.ty
+    def _app(self, frame: TraceFrame, env: TEnv, pc: SecType, e: App) -> Judged:
+        t_arg, t5, _ = self.check(env, pc, e.arg)  # argument is typed first
+        ft, t2, _ = self.check(env, pc, e.fn)
         if not isinstance(ft, FunType):
             self.fail("App", "e1 : (t1 → t3 @ t4)", e)
-        if ft.param != j2.ty:
+        if ft.param != t_arg:
             self.fail("App", "e2 : t1", e)
-        t6 = meet([j2.effect, ft.latent, j1.effect])
+        t6 = meet([t5, ft.latent, t2])
         if not leq(pc, t6):
             self.fail("App", "t6 ⊒ pc1", e)
-        return Judgment(ft.result, t6, env)
+        return ft.result, t6, env
 
-    def _ref(self, frame: TraceFrame, env: TEnv, pc: SecType, e: Ref) -> Judgment:
-        j = self.check(env, pc, e.inner)
-        if not is_base(j.ty):
+    def _ref(self, frame: TraceFrame, env: TEnv, pc: SecType, e: Ref) -> Judged:
+        t1, t2, _ = self.check(env, pc, e.inner)
+        if not is_base(t1):
             self.fail("Ref", "t1 ∈ {Low, High}", e)
-        return Judgment(RefType(j.ty), j.effect, env)
+        return RefType(t1), t2, env
 
-    def _deref(self, frame: TraceFrame, env: TEnv, pc: SecType, e: Deref) -> Judgment:
+    def _deref(self, frame: TraceFrame, env: TEnv, pc: SecType, e: Deref) -> Judged:
         t = env.get(e.name)
         if not isinstance(t, RefType):
             self.fail("Deref", "Γ(x) = ref t1", e)
-        return Judgment(t.inner, EMPTY, env)
+        return t.inner, EMPTY, env
 
-    def _assign(self, frame: TraceFrame, env: TEnv, pc: SecType, e: Assign) -> Judgment:
+    def _assign(self, frame: TraceFrame, env: TEnv, pc: SecType, e: Assign) -> Judged:
         t = env.get(e.name)
         if not isinstance(t, RefType):
             self.fail("Reassign", "Γ(x) = ref t3", e)
         t3 = t.inner
         if not is_base(t3):
             self.fail("Reassign", "t3 ∈ {Low, High}", e)
-        j = self.check(env, pc, e.rhs)
-        if not leq(j.ty, t3):
+        t1, t2, _ = self.check(env, pc, e.rhs)
+        if not leq(t1, t3):
             self.fail("Reassign", "t3 ⊒ t1", e)
         if not leq(pc, t3):
             self.fail("Reassign", "t3 ⊒ pc", e)
-        t4 = meet([t3, j.effect])
-        return Judgment(LOW, t4, env)
+        return LOW, meet([t3, t2]), env
 
 
 # Each Expr class's rule name and rule: class Num has "Num" and method _num,
@@ -343,8 +332,7 @@ def trace_check(env: TEnv, pc: SecType, e: Expr) -> tuple[Judgment, list[TraceFr
     """Like check, but also returns every rule application in derivation order."""
     _validate_inputs(env, pc)
     c = _Checker()
-    j = c.check(dict(env), pc, e)
-    return j, c.log
+    return Judgment(*c.check(dict(env), pc, e)), c.log
 
 
 def check(env: TEnv, pc: SecType, e: Expr) -> Judgment:

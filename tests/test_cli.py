@@ -405,6 +405,85 @@ class TestNitest:
         got = json.loads(capsys.readouterr().out)
         assert got["fuel"] == 3
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "manifest, message",
+        [
+            (None, "cannot read {path}: No such file or directory"),
+            ('{"p.resc": {"verdict": "accept"}', "{path}: not valid JSON: "),
+            ('{"p.resc": {"rule": "Var"}}', "{path}: entry 'p.resc' has no \"verdict\""),
+            ('["p.resc"]', "{path}: expected an object of entries by file name"),
+        ],
+        ids=["missing directory", "malformed json", "entry without verdict", "not an object"],
+    )
+    def test_a_bad_corpus_is_an_io_error(self, tmp_path, capsys, manifest, message, json_flag):
+        corpus = tmp_path / "corpus"
+        if manifest is not None:
+            corpus.mkdir()
+            (corpus / "expectations.json").write_text(manifest)
+        argv = ["nitest", "--trials", "0", "--corpus", str(corpus), *json_flag]
+        assert main(argv) == EXIT_IO_ERROR == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: " + message.format(path=corpus / "expectations.json"))
+
+
+class TestCounts:
+    """--trials and --fuel take an integer of 0 or more; anything else is bad usage."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--fuel", "{n}", "{path}"],
+            ["nitest", "--fuel", "{n}", "--trials", "0"],
+            ["nitest", "--trials", "{n}", "--json"],
+        ],
+        ids=["run --fuel", "nitest --fuel", "nitest --trials"],
+    )
+    @pytest.mark.parametrize("n", ["-3", "-1", "x", "1.5"])
+    def test_a_bad_count_is_a_usage_error(self, src, capsys, argv, n):
+        argv = [a.format(n=n, path=src("1")) for a in argv]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == EXIT_USAGE == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        flag = argv[argv.index(n) - 1]
+        assert f"error: argument {flag}: expected an integer of 0 or more, got '{n}'" in err
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["run", "--fuel", "0", "{path}"], EXIT_FUEL_EXHAUSTED),
+            (["nitest", "--fuel", "0", "--trials", "1"], EXIT_OK),
+            (["nitest", "--trials", "0"], EXIT_OK),
+        ],
+        ids=["run --fuel", "nitest --fuel", "nitest --trials"],
+    )
+    def test_zero_is_allowed(self, src, capsys, argv, code):
+        assert main([a.format(path=src("1 + 1")) for a in argv]) == code
+
+
+class TestClosedStdout:
+    """A reader that stops early ends the command with exit 3, not a traceback."""
+
+    @pytest.mark.parametrize("args", [["parse"], ["check", "--trace"]], ids=" ".join)
+    def test_closed_pipe_after_one_line(self, src, args):
+        path = src(straight_line(10_000))
+        env = {**os.environ, "PYTHONPATH": _SRC}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rescheck", *args, path],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_IO_ERROR == 3
+        assert first.startswith(b"let r = ref(0)" if args == ["parse"] else b"ok: Low @ Low")
+        assert err == ""  # no traceback
+
 
 class TestModule:
     """`python -m rescheck` behaves as the `rescheck` entry point, `cli:main`."""
