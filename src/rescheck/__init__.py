@@ -28,7 +28,6 @@ from .interpreter import (
     UnitV,
     Value,
     evaluate,
-    fresh_loc,
     pretty_value,
     run_program,
 )

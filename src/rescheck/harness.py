@@ -2,11 +2,13 @@
 
 The generators build programs by inverting the typing rules: every
 construction site only emits a form whose side conditions hold in the
-current context. Each expression is built once, under a cap on its level,
-and each statement above a write floor (pc, or High in effect-clean mode),
-so nothing is built and then thrown away. Each trial checks its program
-once; that check is the generator's postcondition, and a `CheckError` from
-it is a generator bug.
+current context. The generator models levels and floors only: each
+expression is built once, under a cap on its level, and each statement
+above a write floor (pc, or High in effect-clean mode), so nothing is built
+and then thrown away. Expressions never apply an effectful function, so
+they write nothing and no effect needs tracking. Each trial checks its
+program once; that check is the generator's postcondition, and a
+`CheckError` from it is a generator bug.
 Alongside the security level of each binding the generator tracks a runtime
 shape (int, bool, unit, ref or function), which the type system itself does
 not, so that generated programs do not get stuck on shape errors.
@@ -48,7 +50,7 @@ from .interpreter import (
     evaluate,
     pretty_value,
 )
-from .lattice import join, leq, meet
+from .lattice import join, leq, meet  # meet: unused here, but bench/spans.py traces harness.meet
 from .parser import ParseError, parse
 from .syntax import (
     EMPTY,
@@ -173,9 +175,11 @@ class _Gen:
     An expression is built under a cap, the highest level it may have: a
     literal is Low, so one always exists; var, deref and app draw from
     sources at or below the cap, and bop and if pass it to their operands.
-    A statement writes at or above the floor, pc or High in effect-clean
-    mode. Under a High floor, bound values are exactly High (`high_expr`),
-    and a statement with no High source in scope is not built.
+    App applies only functions with latent effect (), and every function
+    the generator binds has latent (), so an expression writes nothing and
+    is built without a pc. A statement writes at or above the floor, pc or
+    High in effect-clean mode. Under a High floor, bound values are exactly
+    High (`high_expr`), and a statement with no High source is not built.
     """
 
     def __init__(self, rng: random.Random, effect_clean: bool = False):
@@ -206,9 +210,9 @@ class _Gen:
 
     # -- expressions ---------------------------------------------------------
 
-    def gen_expr(self, ctx, pc, depth, kind, cap, pure):
-        """(expr, level, effect): an expression of the given shape whose
-        level is at most `cap`. `pure` keeps out applications with effects."""
+    def gen_expr(self, ctx, depth, kind, cap):
+        """(expr, level): an expression of the given shape whose level is at
+        most `cap`. It writes nothing, so it needs no pc."""
         if kind == "unit":
             options = [(4.0, "literal"), (3.0, "var")]
         else:
@@ -217,7 +221,7 @@ class _Gen:
                 options += [(3.0, "bop"), (1.0, "ifexpr")]
                 if kind == "int":
                     options.append((1.5, "app"))
-        return self.draw(options, "_expr_", ctx, pc, depth, kind, cap, pure)
+        return self.draw(options, "_expr_", ctx, depth, kind, cap)
 
     def high_expr(self, ctx, kind) -> Expr | None:
         """An expression of exactly High: a High variable or a deref of a
@@ -233,28 +237,28 @@ class _Gen:
         node, name = self.rng.choice(sources)
         return node(name)
 
-    def _expr_literal(self, ctx, pc, depth, kind, cap, pure):
+    def _expr_literal(self, ctx, depth, kind, cap):
         if kind == "int":
-            return Num(str(self.rng.randint(*INT_RANGE))), LOW, EMPTY
+            return Num(str(self.rng.randint(*INT_RANGE))), LOW
         if kind == "bool":
-            return Bool(self.rng.random() < 0.5), LOW, EMPTY
-        return Unit(), LOW, EMPTY
+            return Bool(self.rng.random() < 0.5), LOW
+        return Unit(), LOW
 
-    def _expr_var(self, ctx, pc, depth, kind, cap, pure):
+    def _expr_var(self, ctx, depth, kind, cap):
         names = [n for n, (t, k) in ctx.items() if k == kind and leq(t, cap)]
         if not names:
             return None
         name = self.rng.choice(names)
-        return Var(name), ctx[name][0], EMPTY
+        return Var(name), ctx[name][0]
 
-    def _expr_deref(self, ctx, pc, depth, kind, cap, pure):
+    def _expr_deref(self, ctx, depth, kind, cap):
         names = [n for n, (t, k) in ctx.items() if k == ("ref", kind) and leq(t.inner, cap)]
         if not names:
             return None
         name = self.rng.choice(names)
-        return Deref(name), ctx[name][0].inner, EMPTY
+        return Deref(name), ctx[name][0].inner
 
-    def _expr_bop(self, ctx, pc, depth, kind, cap, pure):
+    def _expr_bop(self, ctx, depth, kind, cap):
         rng = self.rng
         if kind == "int":
             op = rng.choice([BinOp.ADD, BinOp.SUB, BinOp.MUL, BinOp.DIV])
@@ -262,28 +266,25 @@ class _Gen:
         else:
             op = rng.choice([BinOp.EQ, BinOp.LT, BinOp.GT])
             operand_kind = "bool" if op is BinOp.EQ and rng.random() < 0.5 else "int"
-        e1, t1, f1 = self.gen_expr(ctx, pc, depth - 1, operand_kind, cap, pure)
+        e1, t1 = self.gen_expr(ctx, depth - 1, operand_kind, cap)
         if op is BinOp.DIV:
             # nonzero literal divisor keeps generated programs from faulting
-            return Bop(op, e1, Num(str(rng.randint(1, 8)))), t1, f1
+            return Bop(op, e1, Num(str(rng.randint(1, 8)))), t1
         if op is BinOp.MUL:
             # literal factor caps value growth per step; repeated squaring
             # inside loops would otherwise make single steps arbitrarily slow
-            return Bop(op, e1, Num(str(rng.randint(*INT_RANGE)))), t1, f1
-        e2, t2, f2 = self.gen_expr(ctx, pc, depth - 1, operand_kind, cap, pure)
+            return Bop(op, e1, Num(str(rng.randint(*INT_RANGE)))), t1
+        e2, t2 = self.gen_expr(ctx, depth - 1, operand_kind, cap)
         if rng.random() < 0.5:
             e1, e2 = e2, e1
-        return Bop(op, e1, e2), join([t1, t2]), meet([f1, f2])
+        return Bop(op, e1, e2), join([t1, t2])
 
-    def _expr_app(self, ctx, pc, depth, kind, cap, pure):
-        floor = self.floor(pc)
+    def _expr_app(self, ctx, depth, kind, cap):
+        # only a function that writes nothing keeps the application effect-free
         funs = [
             n
             for n, (t, k) in ctx.items()
-            if k == "fun"
-            and leq(t.result, cap)
-            and leq(floor, t.latent)
-            and (not pure or isinstance(t.latent, Empty))
+            if k == "fun" and isinstance(t.latent, Empty) and leq(t.result, cap)
         ]
         if not funs:
             return None
@@ -294,16 +295,14 @@ class _Gen:
             if arg is None:
                 return None
         else:
-            arg = self.gen_expr(ctx, pc, depth - 1, "int", LOW, True)[0]
-        # a pure argument has effect (), so the latent effect is the call's
-        return App(Var(name), arg), ft.result, ft.latent
+            arg = self.gen_expr(ctx, depth - 1, "int", LOW)[0]
+        return App(Var(name), arg), ft.result
 
-    def _expr_ifexpr(self, ctx, pc, depth, kind, cap, pure):
-        ce, ct, cf = self.gen_expr(ctx, pc, depth - 1, "bool", cap, pure)
-        pc2 = join([pc, ct])
-        te, tt, tf = self.gen_expr(ctx, pc2, depth - 1, kind, cap, pure)
-        oe, ot, of = self.gen_expr(ctx, pc2, depth - 1, kind, cap, pure)
-        return If(ce, te, oe), join([ct, tt, ot]), meet([cf, tf, of])
+    def _expr_ifexpr(self, ctx, depth, kind, cap):
+        ce, ct = self.gen_expr(ctx, depth - 1, "bool", cap)
+        te, tt = self.gen_expr(ctx, depth - 1, kind, cap)
+        oe, ot = self.gen_expr(ctx, depth - 1, kind, cap)
+        return If(ce, te, oe), join([ct, tt, ot])
 
     # -- statements ----------------------------------------------------------
 
@@ -329,22 +328,21 @@ class _Gen:
             options += [(1.5, "if"), (1.0, "while"), (1.0, "for")]
         return self.draw(options, "_stmt_", ctx, pc, depth)
 
-    def _stored(self, ctx, pc, depth, kind, pure):
+    def _stored(self, ctx, pc, depth, kind):
         """(expr, level) of a value to bind: any level under a Low floor,
         exactly High under a High one (None with no High source)."""
         if isinstance(self.floor(pc), Low):
-            e, level, _ = self.gen_expr(ctx, pc, depth, kind, HIGH, pure)
-            return e, level
+            return self.gen_expr(ctx, depth, kind, HIGH)
         e = self.high_expr(ctx, kind)
         return None if e is None else (e, HIGH)
 
     def _stmt_expr(self, ctx, pc, depth):
         kind = self.rng.choices(["int", "bool", "unit"], weights=[3, 1.5, 0.5])[0]
-        return [self.gen_expr(ctx, pc, depth, kind, HIGH, False)[0]]
+        return [self.gen_expr(ctx, depth, kind, HIGH)[0]]
 
     def _stmt_let_base(self, ctx, pc, depth):
         kind = self.rng.choice(["int", "int", "bool"])
-        got = self._stored(ctx, pc, depth, kind, False)
+        got = self._stored(ctx, pc, depth, kind)
         if got is None:
             return None
         name = self.fresh("i" if kind == "int" else "b")
@@ -354,14 +352,14 @@ class _Gen:
     def _stmt_let_annot(self, ctx, pc, depth):
         ann = HIGH if isinstance(self.floor(pc), High) else self.rng.choice(_BOTH)
         kind = self.rng.choice(["int", "int", "bool"])
-        rhs = self.gen_expr(ctx, pc, depth, kind, ann, False)[0]
+        rhs = self.gen_expr(ctx, depth, kind, ann)[0]
         name = self.fresh("i" if kind == "int" else "b")
         ctx[name] = (ann, kind)
         return [Let(name, ann, rhs)]
 
     def _stmt_let_ref(self, ctx, pc, depth):
         kind = self.rng.choice(["int", "int", "bool"])
-        got = self._stored(ctx, pc, depth, kind, True)
+        got = self._stored(ctx, pc, depth, kind)
         if got is None:
             return None
         name = self.fresh("ri" if kind == "int" else "rb")
@@ -375,10 +373,9 @@ class _Gen:
         param = self.fresh("i")
         body_ctx = dict(ctx)
         body_ctx[param] = (param_t, "int")
-        pure = self.rng.random() < 0.8
-        body, result_t, effect = self.gen_expr(body_ctx, pc, min(depth - 1, 2), "int", HIGH, pure)
+        body, result_t = self.gen_expr(body_ctx, min(depth - 1, 2), "int", HIGH)
         name = self.fresh("f")
-        ctx[name] = (FunType(param_t, result_t, effect), "fun")
+        ctx[name] = (FunType(param_t, result_t, EMPTY), "fun")
         return [Let(name, None, Func(param, param_t, body))]
 
     def _stmt_assign(self, ctx, pc, depth):
@@ -388,14 +385,14 @@ class _Gen:
             return None
         name = self.rng.choice(targets)
         t, (_, kind) = ctx[name]
-        return [Assign(name, self.gen_expr(ctx, pc, depth, kind, t.inner, False)[0])]
+        return [Assign(name, self.gen_expr(ctx, depth, kind, t.inner)[0])]
 
     def _stmt_app(self, ctx, pc, depth):
-        got = self._expr_app(ctx, pc, max(depth, 1), "int", HIGH, False)
+        got = self._expr_app(ctx, max(depth, 1), "int", HIGH)
         return None if got is None else [got[0]]
 
     def _stmt_if(self, ctx, pc, depth):
-        ce, ct, _ = self.gen_expr(ctx, pc, depth - 1, "bool", HIGH, False)
+        ce, ct = self.gen_expr(ctx, depth - 1, "bool", HIGH)
         pc2 = join([pc, ct])
         then = self.gen_program(dict(ctx), pc2, depth - 1)
         orelse = self.gen_program(dict(ctx), pc2, depth - 1)
@@ -467,7 +464,9 @@ def gen_welltyped(cfg: GenConfig, tenv: TEnv, pc: SecType, effect_clean: bool = 
 
     Construction satisfies every side condition outright, so the program is
     not checked here; the trial that uses it checks it once, and a rejection
-    there is a generator bug.
+    there is a generator bug. Every function the program binds has latent
+    effect (). A function in `tenv` with a latent effect stays in scope but
+    is never applied; `gen_tenv` makes none, and no caller passes one.
     """
     g = _Gen(random.Random(_derive(cfg.rng_seed, _ROLE_PROG)), effect_clean=effect_clean)
     ctx = {name: (t, _kind_from_name(name, t)) for name, t in tenv.items()}

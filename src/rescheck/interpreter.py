@@ -144,11 +144,6 @@ class Store:
         return f"Store({self.data!r}, next_loc={self.next_loc})"
 
 
-def fresh_loc(store: Store) -> int:
-    """The location the next allocation will use."""
-    return store.next_loc
-
-
 @dataclass
 class State:
     env: Env
@@ -516,5 +511,5 @@ def run_program(e: Expr, fuel: int) -> Outcome:
 __all__ = [
     "BoolV", "ClosV", "DepthExceeded", "Env", "FaultKind", "FuelExhausted", "IntV", "LocV",
     "Ok", "Outcome", "RuntimeFault", "State", "Store", "UnitV", "Value",
-    "evaluate", "fresh_loc", "pretty_value", "run_program",
+    "evaluate", "pretty_value", "run_program",
 ]

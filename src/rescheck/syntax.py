@@ -148,12 +148,9 @@ class BinOp(Enum):
     GT = ">"
 
 
+@dataclass(frozen=True)
 class Expr:
-    __slots__ = ()
-
-
-def _pos_field():
-    return field(default=None, compare=False, repr=False)
+    pos: Pos | None = field(default=None, compare=False, repr=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -161,24 +158,21 @@ class Num(Expr):
     """Integer literal; the digits are kept as written."""
 
     literal: str
-    pos: Pos | None = _pos_field()
 
 
 @dataclass(frozen=True)
 class Bool(Expr):
     value: bool
-    pos: Pos | None = _pos_field()
 
 
 @dataclass(frozen=True)
 class Unit(Expr):
-    pos: Pos | None = _pos_field()
+    pass
 
 
 @dataclass(frozen=True)
 class Var(Expr):
     name: str
-    pos: Pos | None = _pos_field()
 
 
 @dataclass(frozen=True)
@@ -186,7 +180,6 @@ class Bop(Expr):
     op: BinOp
     lhs: Expr
     rhs: Expr
-    pos: Pos | None = _pos_field()
 
 
 @dataclass(frozen=True)
@@ -196,7 +189,6 @@ class Let(Expr):
     name: str
     annot: SecType | None
     rhs: Expr
-    pos: Pos | None = _pos_field()
 
 
 @dataclass(frozen=True)
@@ -204,14 +196,12 @@ class If(Expr):
     cond: Expr
     then: Expr
     orelse: Expr
-    pos: Pos | None = _pos_field()
 
 
 @dataclass(frozen=True)
 class While(Expr):
     cond: Expr
     body: Expr
-    pos: Pos | None = _pos_field()
 
 
 @dataclass(frozen=True)
@@ -222,14 +212,12 @@ class For(Expr):
     start: Expr
     stop: Expr
     body: Expr
-    pos: Pos | None = _pos_field()
 
 
 @dataclass(frozen=True)
 class Seq(Expr):
     first: Expr
     second: Expr
-    pos: Pos | None = _pos_field()
 
 
 @dataclass(frozen=True)
@@ -239,33 +227,28 @@ class Func(Expr):
     param: str
     annot: SecType
     body: Expr
-    pos: Pos | None = _pos_field()
 
 
 @dataclass(frozen=True)
 class App(Expr):
     fn: Expr
     arg: Expr
-    pos: Pos | None = _pos_field()
 
 
 @dataclass(frozen=True)
 class Ref(Expr):
     inner: Expr
-    pos: Pos | None = _pos_field()
 
 
 @dataclass(frozen=True)
 class Deref(Expr):
     name: str
-    pos: Pos | None = _pos_field()
 
 
 @dataclass(frozen=True)
 class Assign(Expr):
     name: str
     rhs: Expr
-    pos: Pos | None = _pos_field()
 
 
 # ---------------------------------------------------------------------------

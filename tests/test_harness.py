@@ -1,5 +1,6 @@
 """Randomized-testing harness: generators, trial runners, reports, corpus."""
 
+import dataclasses
 import json
 
 import pytest
@@ -8,11 +9,13 @@ from rescheck import (
     EMPTY,
     HIGH,
     LOW,
+    App,
     BoolV,
     ClosV,
     CorpusReport,
     DepthExceeded,
     Discarded,
+    Expr,
     FunType,
     GenConfig,
     IntV,
@@ -137,6 +140,33 @@ class TestGenWelltyped:
             assert rules == self.RULES
         else:
             assert rules == self.RULES - {"Let-Base-Func", "Func"}
+
+    def test_effectful_tenv_functions_are_never_applied(self):
+        # expressions are effect-free by construction: a function with a
+        # latent effect stays in scope but no App calls it, and every
+        # function the program binds has latent ()
+        tenv = {
+            "f0": FunType(LOW, LOW, LOW),
+            "f1": FunType(HIGH, HIGH, HIGH),
+            "i2": HIGH,
+            "ri3": RefType(LOW),
+        }
+
+        def applied(e):
+            if isinstance(e, App):
+                yield e.fn.name
+            for f in dataclasses.fields(e):
+                v = getattr(e, f.name)
+                if isinstance(v, Expr):
+                    yield from applied(v)
+
+        for pc, clean in [(LOW, False), (HIGH, False), (LOW, True)]:
+            for seed in range(300):
+                prog = gen_welltyped(GenConfig(rng_seed=seed), tenv, pc, effect_clean=clean)
+                j = check(dict(tenv), pc, prog)
+                assert not {"f0", "f1"} & set(applied(prog))
+                bound = [t for n, t in j.out_env.items() if n.startswith("f") and n not in tenv]
+                assert all(t.latent == EMPTY for t in bound)
 
 
 class TestGenStates:

@@ -17,7 +17,6 @@ from rescheck import (
     Store,
     UnitV,
     evaluate,
-    fresh_loc,
     parse,
     pretty_value,
     run_program,
@@ -200,7 +199,7 @@ class TestStore:
 
     def test_allocation_skips_preexisting_locations(self):
         store = Store({5: IntV(9)})
-        assert fresh_loc(store) == 6
+        assert store.next_loc == 6
         out = run("ref(3)", store=store)
         assert isinstance(out, Ok) and out.value == LocV(6)
         assert out.state.store.data == {5: IntV(9), 6: IntV(3)}
