@@ -3,10 +3,11 @@
 Two runs are indistinguishable to a low observer when their low-typed
 variables hold related values: equal for base values, equal-after-deref
 for low references, and extensionally related for functions. Closures are
-compared by sampling: related argument pairs are generated, both bodies run
-under bounded fuel, and the results compared at the result type. Runs that
-exhaust fuel or fault are inconclusive and count as passes; callers can
-watch the statistics to see how often that happened.
+compared by sampling: `related_values` builds a related argument pair for
+any well-formed parameter type, both bodies run under bounded fuel, and the
+results are compared at the result type. Runs that exhaust fuel or fault,
+and functions nested past the comparison depth, are inconclusive and count
+as passes; callers can watch the statistics to see how often that happened.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _low_eq(v1: Value, s1: Store, v2: Value, s2: Store, visited: set) -> bool:
 
 
 def _high_eq(v1: Value, v2: Value) -> bool:
-    """Equivalence at High: any two values of the same base shape relate."""
+    """Equivalence at High and (): any two values of the same base shape relate."""
     match (v1, v2):
         case (UnitV(), UnitV()) | (IntV(), IntV()) | (BoolV(), BoolV()) | (LocV(), LocV()):
             return True
@@ -94,22 +95,21 @@ def _closures_identical(c1: ClosV, s1: Store, c2: ClosV, s2: Store) -> bool:
 
 def related_values(
     t: SecType, rng: random.Random, s1: Store, s2: Store, shape: str = "int"
-) -> tuple[Value, Value] | None:
-    """A pair of values a low observer cannot tell apart at t, with any
-    reference allocated into s1 and s2.
+) -> tuple[Value, Value]:
+    """A pair of values a low observer cannot tell apart at the well-formed
+    type t, with any reference allocated into s1 and s2.
 
     `shape` ("int", "bool" or "unit") is the runtime shape of a base value
     or of a reference's contents. A Low value, or the contents of a ref Low,
-    is drawn once and shared; a High one is drawn for each side. A function
-    type gets its canonical closure on both sides. None when t is (), or a
-    function type without a canonical closure.
+    is drawn once and shared; a High or () one is drawn for each side. A
+    function type gets one closure on both sides: the identity when the
+    result type is the parameter type, else the constant `0`. Neither writes,
+    so either has every latent effect.
     """
     if isinstance(t, FunType):
-        c = canonical_closure(t)
-        return None if c is None else (c, c)
+        c = ClosV(Var("x") if t.result == t.param else Num("0"), "x", {})
+        return c, c
     level = t.inner if isinstance(t, RefType) else t
-    if not isinstance(level, (Low, High)):
-        return None
 
     def draw() -> Value:
         if shape == "int":
@@ -121,19 +121,6 @@ def related_values(
     if isinstance(t, RefType):
         return LocV(s1.alloc(v1)), LocV(s2.alloc(v2))
     return v1, v2
-
-
-def canonical_closure(t: FunType) -> ClosV | None:
-    """A closed, well-typed inhabitant of t, if one is easy to build:
-    the identity when the result type is the parameter type, else a
-    constant `0` when the result is Low."""
-    if not isinstance(t.latent, Empty):
-        return None
-    if t.result == t.param:
-        return ClosV(Var("x"), "x", {})
-    if isinstance(t.result, Low):
-        return ClosV(Num("0"), "x", {})
-    return None
 
 
 def low_observable(t: SecType) -> bool:
@@ -152,7 +139,7 @@ class _Equiv:
         self, v1: Value, s1: Store, v2: Value, s2: Store, t: SecType, depth: int
     ) -> bool:
         match t:
-            case High():
+            case High() | Empty():
                 return _high_eq(v1, v2)
             case Low():
                 return _low_eq(v1, s1, v2, s2, set())
@@ -171,26 +158,22 @@ class _Equiv:
             return False
         if _closures_identical(v1, s1, v2, s2):
             return True
-        if depth <= 0:
-            return False
         if v1.env.keys() != v2.env.keys():
             return False
         self.stats.closure_pairs_sampled += 1
-        result_t = t.result.inner if isinstance(t.result, RefType) else t.result
+        if depth <= 0:
+            self.stats.inconclusive_runs += self.cfg.closure_samples
+            return True
         for _ in range(self.cfg.closure_samples):
             c1, c2 = s1.copy(), s2.copy()
-            pair = related_values(t.param, self.rng, c1, c2)
-            if pair is None:
-                self.stats.inconclusive_runs += 1
-                continue
-            a1, a2 = pair
+            a1, a2 = related_values(t.param, self.rng, c1, c2)
             o1 = evaluate(v1.body, {**v1.env, v1.param: a1}, c1, CLOSURE_FUEL)
             o2 = evaluate(v2.body, {**v2.env, v2.param: a2}, c2, CLOSURE_FUEL)
             if not isinstance(o1, Ok) or not isinstance(o2, Ok):
                 self.stats.inconclusive_runs += 1
                 continue
             f1, f2 = o1.state.store, o2.state.store
-            if not self.values(o1.value, f1, o2.value, f2, result_t, depth - 1):
+            if not self.values(o1.value, f1, o2.value, f2, t.result, depth - 1):
                 return False
             # The argument pair must still be related in the final stores.
             if not self.values(a1, f1, a2, f2, t.param, depth - 1):
@@ -224,8 +207,9 @@ def low_equiv(
 
     Only low-observable bindings constrain the result: Low and ref Low
     variables must agree at Low and function variables must be related at
-    their function type. High and ref High bindings are unconstrained, and
-    may even be absent, since nothing a low observer can do depends on them.
+    their function type. High, ref High and () bindings are unconstrained,
+    and may even be absent, since nothing a low observer can do depends on
+    them.
     """
     cfg = cfg if cfg is not None else EquivConfig()
     eq = _Equiv(cfg, stats)

@@ -38,8 +38,6 @@ from .equivalence import (
     value_equiv,
 )
 from .interpreter import (
-    UNIT,
-    ClosV,
     DepthExceeded,
     FuelExhausted,
     Ok,
@@ -477,8 +475,7 @@ def gen_lowequiv_states(cfg: GenConfig, tenv: TEnv) -> tuple[State, State]:
     """Two states for tenv that agree on everything a low observer sees.
 
     Each binding gets a pair from `related_values`, with the runtime shape
-    its name encodes. A function type without a canonical closure gets a
-    constant `0` closure in both states, and any other type `()`.
+    its name encodes.
     """
     rng = random.Random(_derive(cfg.rng_seed, _ROLE_STATE))
     env1: dict[str, Value] = {}
@@ -487,12 +484,7 @@ def gen_lowequiv_states(cfg: GenConfig, tenv: TEnv) -> tuple[State, State]:
     for name, t in tenv.items():
         kind = _kind_from_name(name, t)
         shape = kind[1] if isinstance(kind, tuple) else kind
-        pair = related_values(t, rng, st1, st2, shape)
-        if pair is None:
-            # a constant result is observationally safe whatever t promises
-            fallback = ClosV(Num("0"), "x", {}) if isinstance(t, FunType) else UNIT
-            pair = fallback, fallback
-        env1[name], env2[name] = pair
+        env1[name], env2[name] = related_values(t, rng, st1, st2, shape)
     s1, s2 = State(env1, st1), State(env2, st2)
     eq_cfg = EquivConfig(rng_seed=_derive(cfg.rng_seed, _ROLE_EQUIV))
     assert low_equiv(tenv, s1, s2, eq_cfg), "generated states must be low-equivalent"

@@ -1,5 +1,7 @@
 """Low-observer equivalence on values and whole states."""
 
+import random
+
 from rescheck import (
     EMPTY,
     HIGH,
@@ -15,10 +17,12 @@ from rescheck import (
     State,
     Store,
     UnitV,
+    enumerate_types,
     low_equiv,
     parse,
     value_equiv,
 )
+from rescheck.equivalence import related_values
 
 S0 = Store()
 
@@ -133,11 +137,34 @@ class TestClosures:
         assert veq(c1, ClosV(parse("3"), "g", {}), t)
         assert not veq(c1, ClosV(parse("g 4"), "g", {}), t)
 
-    def test_function_parameters_without_a_canonical_closure_are_inconclusive(self):
-        t = FunType(FunType(LOW, HIGH, EMPTY), LOW, EMPTY)
+    def test_function_parameters_are_sampled_with_a_closure_of_their_type(self):
+        # a low observer tells `1` from `2` whatever the parameter
         stats = EquivStats()
-        assert veq(ClosV(parse("1"), "g", {}), ClosV(parse("2"), "g", {}), t, stats=stats)
-        assert stats.inconclusive_runs == EquivConfig.closure_samples
+        t = FunType(FunType(LOW, HIGH, EMPTY), LOW, EMPTY)
+        assert not veq(ClosV(parse("1"), "g", {}), ClosV(parse("2"), "g", {}), t, stats=stats)
+        # a parameter that may write high still gets a closure to apply
+        t = FunType(FunType(LOW, LOW, HIGH), LOW, EMPTY)
+        c1 = ClosV(parse("g 3"), "g", {})
+        assert not veq(c1, ClosV(parse("g 4"), "g", {}), t, stats=stats)
+        assert veq(c1, ClosV(parse("3"), "g", {}), t, stats=stats)
+        assert stats.inconclusive_runs == 0
+
+    def test_nesting_past_closure_depth_is_inconclusive(self):
+        # equal curried functions one level deeper than sampling reaches
+        t = FunType(LOW, FunType(LOW, FunType(LOW, LOW, EMPTY), EMPTY), EMPTY)
+        c1 = ClosV(parse("(y: low) => (z: low) => z"), "x", {})
+        c2 = ClosV(parse("(y: low) => (z: low) => z + 0"), "x", {})
+        stats = EquivStats()
+        assert veq(c1, c2, t, stats=stats)
+        assert stats.inconclusive_runs > 0
+        assert low_equiv({"f": t}, State({"f": c1}, S0), State({"f": c2}, S0))
+
+    def test_related_values_relate_at_every_type(self):
+        for t in enumerate_types(2):
+            for shape in ("int", "bool", "unit"):
+                s1, s2 = Store(), Store()
+                v1, v2 = related_values(t, random.Random(0), s1, s2, shape)
+                assert value_equiv(v1, s1, v2, s2, t), (t, shape)
 
     def test_sampling_is_deterministic_in_the_seed(self):
         c1 = ClosV(parse("x + 1"), "x", {})

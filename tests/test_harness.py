@@ -234,7 +234,7 @@ class TestGenStates:
         tenv = {
             "rb0": RefType(LOW),
             "b1": HIGH,
-            "f2": FunType(LOW, HIGH, EMPTY),  # no canonical closure
+            "f2": FunType(LOW, HIGH, EMPTY),  # result is not the parameter: constant 0
             "u3": EMPTY,
         }
         highs = set()
