@@ -29,7 +29,7 @@ from .interpreter import (
     Value,
     evaluate,
 )
-from .syntax import Empty, FunType, High, Low, Num, RefType, SecType, Var
+from .syntax import Empty, Expr, Func, FunType, High, Low, Num, Ref, RefType, SecType, Var
 
 # Fuel for each sampled closure run. Generated closure bodies are small;
 # anything that needs more than this is treated as inconclusive.
@@ -93,6 +93,20 @@ def _closures_identical(c1: ClosV, s1: Store, c2: ClosV, s2: Store) -> bool:
     )
 
 
+def _returning(t: FunType) -> Expr:
+    """The body of a closure with parameter x, of type t, that returns a
+    value of t's result type: x itself when the result type is the parameter
+    type, a fresh `ref(0)` for a ref, a closure built the same way for a
+    function, else the constant 0."""
+    if t.result == t.param:
+        return Var("x")
+    if isinstance(t.result, RefType):
+        return Ref(Num("0"))
+    if isinstance(t.result, FunType):
+        return Func("x", t.result.param, _returning(t.result))
+    return Num("0")
+
+
 def related_values(
     t: SecType, rng: random.Random, s1: Store, s2: Store, shape: str = "int"
 ) -> tuple[Value, Value]:
@@ -102,12 +116,11 @@ def related_values(
     `shape` ("int", "bool" or "unit") is the runtime shape of a base value
     or of a reference's contents. A Low value, or the contents of a ref Low,
     is drawn once and shared; a High or () one is drawn for each side. A
-    function type gets one closure on both sides: the identity when the
-    result type is the parameter type, else the constant `0`. Neither writes,
-    so either has every latent effect.
+    function type gets one closure on both sides, whose body `_returning`
+    builds. It writes nothing, so it has every latent effect.
     """
     if isinstance(t, FunType):
-        c = ClosV(Var("x") if t.result == t.param else Num("0"), "x", {})
+        c = ClosV(_returning(t), "x", {})
         return c, c
     level = t.inner if isinstance(t, RefType) else t
 

@@ -15,6 +15,9 @@ not, so that generated programs do not get stuck on shape errors.
 
 Variable names encode their shape by prefix (i/b/u/ri/rb/f) so that state
 generation can build matching values from the type environment alone.
+
+Builders are drawn by weight from tables built once, at import (`_Table`).
+Each pick consumes one `rng.random()`, as `rng.choices` would.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import random
 from bisect import bisect
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate
 from pathlib import Path
 
@@ -167,6 +170,38 @@ _BOTH = (LOW, HIGH)
 # Program generator -----------------------------------------------------------
 
 
+class _Table:
+    """Options drawn by weight: `pick` is the computation of
+    `rng.choices(range(n), weights)`, so it consumes the same random stream,
+    without that call's overhead. The table of the options left after
+    dropping one is built on first use and shared by every table that
+    leaves the same options."""
+
+    __slots__ = ("options", "items", "cum", "total", "last", "rest")
+
+    def __init__(self, options: tuple[tuple[float, object], ...]):
+        self.options = options
+        self.items = [item for _, item in options]
+        self.cum = list(accumulate(w for w, _ in options))
+        self.total = self.cum[-1] + 0.0
+        self.last = len(options) - 1
+        self.rest: dict[int, _Table] = {}
+
+    def pick(self, rng: random.Random) -> int:
+        return bisect(self.cum, rng.random() * self.total, 0, self.last)
+
+    def without(self, i: int) -> _Table:
+        rest = self.rest.get(i)
+        if rest is None:
+            rest = self.rest[i] = _table(self.options[:i] + self.options[i + 1 :])
+        return rest
+
+
+# Keyed by the options left, so misses in any order reach one table: about
+# a hundred in all, where one per order of misses would be thousands.
+_table = cache(_Table)
+
+
 class _Gen:
     """Builds a program top-down, each subtree once.
 
@@ -193,18 +228,17 @@ class _Gen:
     def floor(self, pc: SecType) -> SecType:
         return HIGH if self.effect_clean else pc
 
-    def draw(self, options, prefix, *args):
-        """Draw builders by weight, without replacement, until one builds.
-        A builder returns None, having built nothing, when the context has
-        no source for it; a literal or an expression statement always builds.
-        Each pick is the computation of `rng.choices(range(n), weights)`, so
-        it consumes the same random stream, without that call's overhead."""
+    def draw(self, table: _Table, *args):
+        """Draw builders from `table` by weight, without replacement, until
+        one builds. A builder returns None, having built nothing, when the
+        context has no source for it; a literal or an expression statement
+        always builds. A miss moves on to the table of the options left."""
         while True:
-            cum = list(accumulate([w for w, _ in options]))
-            pick = bisect(cum, self.rng.random() * (cum[-1] + 0.0), 0, len(cum) - 1)
-            built = getattr(self, prefix + options.pop(pick)[1])(*args)
+            pick = table.pick(self.rng)
+            built = table.items[pick](self, *args)
             if built is not None:
                 return built
+            table = table.without(pick)
 
     # -- expressions ---------------------------------------------------------
 
@@ -212,14 +246,12 @@ class _Gen:
         """(expr, level): an expression of the given shape whose level is at
         most `cap`. It writes nothing, so it needs no pc."""
         if kind == "unit":
-            options = [(4.0, "literal"), (3.0, "var")]
+            table = _UNIT_EXPRS
+        elif depth <= 0:
+            table = _LEAF_EXPRS
         else:
-            options = [(3.0, "literal"), (4.0, "var"), (3.0, "deref")]
-            if depth > 0:
-                options += [(3.0, "bop"), (1.0, "ifexpr")]
-                if kind == "int":
-                    options.append((1.5, "app"))
-        return self.draw(options, "_expr_", ctx, depth, kind, cap)
+            table = _INT_EXPRS if kind == "int" else _BOOL_EXPRS
+        return self.draw(table, ctx, depth, kind, cap)
 
     def high_expr(self, ctx, kind) -> Expr | None:
         """An expression of exactly High: a High variable or a deref of a
@@ -313,18 +345,7 @@ class _Gen:
         return sequence(stmts)
 
     def gen_stmt(self, ctx, pc, depth) -> list[Expr]:
-        options = [
-            (1.0, "expr"),
-            (2.5, "let_base"),
-            (1.5, "let_annot"),
-            (2.0, "let_ref"),
-            (1.5, "let_fun"),
-            (2.5, "assign"),
-            (1.5, "app"),
-        ]
-        if depth > 0:
-            options += [(1.5, "if"), (1.0, "while"), (1.0, "for")]
-        return self.draw(options, "_stmt_", ctx, pc, depth)
+        return self.draw(_STMTS if depth > 0 else _FLAT_STMTS, ctx, pc, depth)
 
     def _stored(self, ctx, pc, depth, kind):
         """(expr, level) of a value to bind: any level under a Low floor,
@@ -335,7 +356,7 @@ class _Gen:
         return None if e is None else (e, HIGH)
 
     def _stmt_expr(self, ctx, pc, depth):
-        kind = self.rng.choices(["int", "bool", "unit"], weights=[3, 1.5, 0.5])[0]
+        kind = _STMT_EXPR_KINDS.items[_STMT_EXPR_KINDS.pick(self.rng)]
         return [self.gen_expr(ctx, depth, kind, HIGH)[0]]
 
     def _stmt_let_base(self, ctx, pc, depth):
@@ -429,6 +450,22 @@ class _Gen:
         body_ctx[var] = (pc, "int")  # bounds are literals, so pc2 == pc
         body = self.gen_program(body_ctx, pc, depth - 1)
         return [For(var, Num(str(a)), Num(str(b)), body)]
+
+
+# The generator's option lists, each a table built once: (weight, builder).
+_LEAF_EXPRS = _Table(((3.0, _Gen._expr_literal), (4.0, _Gen._expr_var), (3.0, _Gen._expr_deref)))
+_BOOL_EXPRS = _Table((*_LEAF_EXPRS.options, (3.0, _Gen._expr_bop), (1.0, _Gen._expr_ifexpr)))
+_INT_EXPRS = _Table((*_BOOL_EXPRS.options, (1.5, _Gen._expr_app)))
+_UNIT_EXPRS = _Table(((4.0, _Gen._expr_literal), (3.0, _Gen._expr_var)))
+_FLAT_STMTS = _Table((
+    (1.0, _Gen._stmt_expr), (2.5, _Gen._stmt_let_base), (1.5, _Gen._stmt_let_annot),
+    (2.0, _Gen._stmt_let_ref), (1.5, _Gen._stmt_let_fun), (2.5, _Gen._stmt_assign),
+    (1.5, _Gen._stmt_app),
+))
+_STMTS = _Table((
+    *_FLAT_STMTS.options, (1.5, _Gen._stmt_if), (1.0, _Gen._stmt_while), (1.0, _Gen._stmt_for)
+))
+_STMT_EXPR_KINDS = _Table(((3, "int"), (1.5, "bool"), (0.5, "unit")))
 
 
 # Public generator entry points ------------------------------------------------

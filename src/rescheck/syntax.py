@@ -148,105 +148,146 @@ class BinOp(Enum):
     GT = ">"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Expr:
     pos: Pos | None = field(default=None, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+_set_pos = Expr.pos.__set__
+
+
+def _node(cls: type) -> type:
+    """Make `cls`, whose body names its fields in `__slots__`, a frozen
+    dataclass. Its `__init__` takes the fields in order, then keyword-only
+    `pos`, and fills each slot through the slot's own setter, as `Pos` does.
+    Slots written in the class body, not `dataclass(slots=True)`, keep the
+    class the `class` statement made: that call would build a second class
+    and leave the first among `Expr.__subclasses__()`."""
+    types = cls.__dict__.get("__annotations__", {})
+    scope = {f"_set_{n}": getattr(cls, n).__set__ for n in types}
+    scope["_set_pos"] = _set_pos
+    params = "".join(f"{n}: {t}, " for n, t in types.items())
+    body = "".join(f"    _set_{n}(self, {n})\n" for n in types)
+    # exec keeps this module's `from __future__ import annotations`, so the
+    # annotations stay strings, as in the signature dataclass would write
+    exec(
+        f"def __init__(self, {params}*, pos: Pos | None = None):\n"
+        f"{body}    _set_pos(self, pos)\n",
+        scope,
+    )
+    cls.__init__ = scope["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return dataclass(frozen=True, init=False)(cls)
+
+
+@_node
 class Num(Expr):
     """Integer literal; the digits are kept as written."""
 
+    __slots__ = ("literal",)
     literal: str
 
 
-@dataclass(frozen=True)
+@_node
 class Bool(Expr):
+    __slots__ = ("value",)
     value: bool
 
 
-@dataclass(frozen=True)
+@_node
 class Unit(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Bop(Expr):
+    __slots__ = ("op", "lhs", "rhs")
     op: BinOp
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Let(Expr):
     """let x = e, optionally with a base-level annotation: let x: high = e."""
 
+    __slots__ = ("name", "annot", "rhs")
     name: str
     annot: SecType | None
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class If(Expr):
+    __slots__ = ("cond", "then", "orelse")
     cond: Expr
     then: Expr
     orelse: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class While(Expr):
+    __slots__ = ("cond", "body")
     cond: Expr
     body: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class For(Expr):
     """for x in e1 to e2 { e3 }; both bounds inclusive."""
 
+    __slots__ = ("var", "start", "stop", "body")
     var: str
     start: Expr
     stop: Expr
     body: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Seq(Expr):
+    __slots__ = ("first", "second")
     first: Expr
     second: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Func(Expr):
     """(x: t) => e; the parameter annotation is mandatory."""
 
+    __slots__ = ("param", "annot", "body")
     param: str
     annot: SecType
     body: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class App(Expr):
+    __slots__ = ("fn", "arg")
     fn: Expr
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Ref(Expr):
+    __slots__ = ("inner",)
     inner: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Deref(Expr):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Assign(Expr):
+    __slots__ = ("name", "rhs")
     name: str
     rhs: Expr
 

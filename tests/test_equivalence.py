@@ -149,6 +149,19 @@ class TestClosures:
         assert veq(c1, ClosV(parse("3"), "g", {}), t, stats=stats)
         assert stats.inconclusive_runs == 0
 
+    def test_function_parameters_returning_refs_or_functions_get_such_results(self):
+        # g returns a fresh cell or a function, so a body can read or apply it
+        stats = EquivStats()
+        t = FunType(FunType(LOW, RefType(LOW), EMPTY), LOW, EMPTY)
+        c1 = ClosV(parse("let r = g 1; !r"), "g", {})
+        assert not veq(c1, ClosV(parse("let r = g 1; !r + 1"), "g", {}), t, stats=stats)
+        assert veq(c1, ClosV(parse("let r = g 1; !r + 0"), "g", {}), t, stats=stats)
+        t = FunType(FunType(LOW, FunType(LOW, LOW, EMPTY), EMPTY), LOW, EMPTY)
+        c1 = ClosV(parse("let h = g 1; h 2"), "g", {})
+        assert not veq(c1, ClosV(parse("let h = g 1; h 3"), "g", {}), t, stats=stats)
+        assert veq(c1, ClosV(parse("let h = g 1; h 2 + 0"), "g", {}), t, stats=stats)
+        assert stats.inconclusive_runs == 0
+
     def test_nesting_past_closure_depth_is_inconclusive(self):
         # equal curried functions one level deeper than sampling reaches
         t = FunType(LOW, FunType(LOW, FunType(LOW, LOW, EMPTY), EMPTY), EMPTY)

@@ -1,6 +1,7 @@
 """Randomized-testing harness: generators, trial runners, reports, corpus."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -32,6 +33,7 @@ from rescheck import (
     gen_welltyped,
     low_equiv,
     parse,
+    pretty,
     pretty_type,
     run_corpus,
     run_suite,
@@ -80,6 +82,33 @@ class TestGenWelltyped:
         cfg = GenConfig(rng_seed=9)
         tenv = gen_tenv(cfg)
         assert gen_welltyped(cfg, tenv, LOW) == gen_welltyped(cfg, tenv, LOW)
+
+    # sha256 over `pretty` of the programs for seeds 0-499, each followed by
+    # a NUL byte; a change to the generator's random stream moves it
+    DIGESTS = {
+        "soundness": "c3474e2d35674976b510d2fdf2326f8a6438803b5d2f4cb02fd38a5a222eb2d4",
+        "lemma1": "c3474e2d35674976b510d2fdf2326f8a6438803b5d2f4cb02fd38a5a222eb2d4",
+        "lemma2": "a3a9042ea6743b6e576e7fe4ff8ed7906bf58c100e27d4abc63aa6127fcaed84",
+        "lemma5": "177b86cc1a13f9dbcea96348992577ec0e7b37a8754c1e9941eb433e226a2e72",
+    }
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_programs_match_recorded_digest(self, suite):
+        pc, clean = harness._SUITE_TABLE[suite].pc, harness._SUITE_TABLE[suite].effect_clean
+        digest = hashlib.sha256()
+        for seed in range(500):
+            cfg = GenConfig(rng_seed=seed)
+            prog = gen_welltyped(cfg, gen_tenv(cfg), pc, effect_clean=clean)
+            digest.update(pretty(prog).encode() + b"\0")
+        assert digest.hexdigest() == self.DIGESTS[suite]
+
+    def test_misses_in_any_order_reach_one_table(self):
+        # dropping let_base then let_ref, or let_ref then let_base
+        t = harness._STMTS
+        assert t.without(1).without(2) is t.without(3).without(1)
+        assert t.without(1).without(2).items == [
+            item for k, item in enumerate(t.items) if k not in (1, 3)
+        ]
 
     def test_programs_vary_with_the_seed(self):
         progs = {

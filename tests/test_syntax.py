@@ -44,7 +44,7 @@ from rescheck import (
     pretty_type,
     well_formed,
 )
-from rescheck.syntax import sequence
+from rescheck.syntax import Expr, Func, sequence
 
 
 class TestLevels:
@@ -201,6 +201,48 @@ class TestPositions:
         assert type(p) is Pos
         node = pickle.loads(pickle.dumps(Var("x", pos=Pos(3, 4)), protocol))
         assert node.pos == Pos(3, 4)
+
+
+# One node of every concrete Expr class.
+NODES = [
+    Num("3"), Bool(True), Unit(), Var("x"), Bop(BinOp.ADD, Num("1"), Var("y")),
+    Let("x", HIGH, Num("1")), If(Bool(True), Num("1"), Num("2")), While(Bool(False), Unit()),
+    For("i", Num("1"), Num("2"), Unit()), Seq(Num("1"), Num("2")), Func("x", LOW, Var("x")),
+    App(Var("f"), Num("1")), Ref(Num("0")), Deref("r"), Assign("r", Num("1")),
+]
+
+
+class TestSlottedNodes:
+    def test_nodes_cover_every_class(self):
+        assert sorted(type(e).__name__ for e in NODES) == sorted(
+            cls.__name__ for cls in Expr.__subclasses__()
+        )
+
+    @pytest.mark.parametrize("e", NODES, ids=lambda e: type(e).__name__)
+    def test_node_is_frozen_and_slotted(self, e):
+        assert not hasattr(e, "__dict__")
+        for f in dataclasses.fields(e):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(e, f.name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(e, f.name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.other = 1
+
+    @pytest.mark.parametrize("e", NODES, ids=lambda e: type(e).__name__)
+    def test_pos_is_ignored_by_eq_and_hash(self, e):
+        moved = dataclasses.replace(e, pos=Pos(9, 4))
+        assert moved.pos == Pos(9, 4) and e.pos is None
+        assert moved == e
+        assert hash(moved) == hash(e)
+
+    @pytest.mark.parametrize("e", NODES, ids=lambda e: type(e).__name__)
+    def test_pickle_keeps_pos_at_every_protocol(self, e):
+        moved = dataclasses.replace(e, pos=Pos(9, 4))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            got = pickle.loads(pickle.dumps(moved, protocol))
+            assert type(got) is type(e)
+            assert got == e and got.pos == Pos(9, 4)
 
 
 class TestPretty:
