@@ -28,7 +28,7 @@ from __future__ import annotations
 import operator
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NoReturn
 
@@ -44,17 +44,22 @@ from .syntax import (
 class Value:
     __slots__ = ()
 
+    def __reduce__(self):  # pickle by fields: frozen slots refuse the default setstate
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
-@dataclass(frozen=True, slots=True, init=False)
+
+@dataclass(frozen=True, init=False)
 class IntV(Value):
+    __slots__ = ("n",)  # named here, so the frozen __setattr__ closes over this class
     n: int
 
     def __init__(self, n: int):
         _set_n(self, n)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class BoolV(Value):
+    __slots__ = ("b",)
     b: bool
 
 

@@ -11,16 +11,24 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, init=False)
 class Pos:
     """1-based line/column where a node starts in the source text."""
 
+    # Slots named in the class body, not by `dataclass(slots=True)`, which
+    # would build a second class: the frozen `__setattr__` would close over
+    # the first and answer a new attribute with a TypeError. Without that
+    # call, dataclass writes no pickle support, so `__reduce__` gives it.
+    __slots__ = ("line", "col")
     line: int
     col: int
 
     def __init__(self, line: int, col: int):
         _set_line(self, line)
         _set_col(self, col)
+
+    def __reduce__(self):
+        return Pos, (self.line, self.col)
 
 
 # The slots' own setters, without the frozen class's __setattr__ path.
@@ -298,6 +306,13 @@ class Assign(Expr):
 # Precedence levels, loosest to tightest. A child whose level is below the
 # level its position requires gets wrapped in parentheses; parentheses may
 # contain sequences, so this is safe for every node.
+#
+# `_RENDER` maps each node class to its renderer, as the checker's and the
+# evaluator's `_RULES` map it to a rule, so a node costs one lookup to
+# dispatch. `_fmt` is the one entry for every child: it looks the node up in
+# the memo, renders it if it is not there, and adds parentheses. A renderer
+# reads its node's fields and hands each child to `_fmt`, so one level of
+# nesting costs two Python frames, `_fmt` and the renderer.
 
 _SEQ, _STMT, _CMP, _ADD, _MUL, _UNARY, _APP, _ATOM = range(8)
 
@@ -317,6 +332,11 @@ BINOP_LEVEL = {
 }
 CMP_LEVEL = _CMP
 
+# Each operator's text and the levels its left and right operands require.
+_BINOP_TEXT = {
+    op: (op.value, level + 1 if level == _CMP else level, level + 1)
+    for op, level in BINOP_LEVEL.items()
+}
 
 # The level of each node class; `Bop` and `Num` are read from the node.
 _PREC = {Seq: _SEQ, Let: _STMT, Assign: _STMT, Func: _STMT, App: _APP}
@@ -334,55 +354,92 @@ def _prec(e: Expr) -> int:
 def _fmt(e: Expr, level: int, memo: dict[int, str]) -> str:
     text = memo.get(id(e))
     if text is None:
-        text = memo[id(e)] = _render(e, memo)
-    if _prec(e) < level:
+        try:
+            render = _RENDER[type(e)]
+        except KeyError:
+            raise TypeError(f"not an Expr: {e!r}") from None
+        text = memo[id(e)] = render(e, memo)
+    if level != _SEQ and _prec(e) < level:  # nothing binds looser than _SEQ
         return f"({text})"
     return text
 
 
-def _render(e: Expr, memo: dict[int, str]) -> str:
-    match e:
-        case Num(literal):
-            return literal
-        case Bool(value):
-            return "true" if value else "false"
-        case Unit():
-            return "()"
-        case Var(name):
-            return name
-        case Bop(op, lhs, rhs):
-            level = BINOP_LEVEL[op]
-            left = level + 1 if level == _CMP else level
-            return f"{_fmt(lhs, left, memo)} {op.value} {_fmt(rhs, level + 1, memo)}"
-        case Let(name, annot, rhs):
-            if annot is None:
-                return f"let {name} = {_fmt(rhs, _STMT, memo)}"
-            return f"let {name}: {pretty_type(annot)} = {_fmt(rhs, _STMT, memo)}"
-        case If(cond, then, orelse):
-            return (
-                f"if {_fmt(cond, _CMP, memo)} {{ {_fmt(then, _SEQ, memo)} }}"
-                f" else {{ {_fmt(orelse, _SEQ, memo)} }}"
-            )
-        case While(cond, body):
-            return f"while {_fmt(cond, _CMP, memo)} {{ {_fmt(body, _SEQ, memo)} }}"
-        case For(var, start, stop, body):
-            return (
-                f"for {var} in {_fmt(start, _CMP, memo)} to {_fmt(stop, _CMP, memo)}"
-                f" {{ {_fmt(body, _SEQ, memo)} }}"
-            )
-        case Seq():
-            return "; ".join(_statements(e, memo))
-        case Func(param, annot, body):
-            return f"({param}: {pretty_type(annot)}) => {_fmt(body, _STMT, memo)}"
-        case App(fn, arg):
-            return f"{_fmt(fn, _APP, memo)} {_fmt(arg, _ATOM, memo)}"
-        case Ref(inner):
-            return f"ref({_fmt(inner, _SEQ, memo)})"
-        case Deref(name):
-            return f"!{name}"
-        case Assign(name, rhs):
-            return f"{name} := {_fmt(rhs, _STMT, memo)}"
-    raise TypeError(f"not an Expr: {e!r}")
+# One renderer per node class: _RENDER maps class Num to _num, and so on.
+
+
+def _num(e: Num, memo: dict[int, str]) -> str:
+    return e.literal
+
+
+def _bool(e: Bool, memo: dict[int, str]) -> str:
+    return "true" if e.value else "false"
+
+
+def _unit(e: Unit, memo: dict[int, str]) -> str:
+    return "()"
+
+
+def _var(e: Var, memo: dict[int, str]) -> str:
+    return e.name
+
+
+def _bop(e: Bop, memo: dict[int, str]) -> str:
+    op, left, right = _BINOP_TEXT[e.op]
+    return f"{_fmt(e.lhs, left, memo)} {op} {_fmt(e.rhs, right, memo)}"
+
+
+def _let(e: Let, memo: dict[int, str]) -> str:
+    if e.annot is None:
+        return f"let {e.name} = {_fmt(e.rhs, _STMT, memo)}"
+    return f"let {e.name}: {pretty_type(e.annot)} = {_fmt(e.rhs, _STMT, memo)}"
+
+
+def _if(e: If, memo: dict[int, str]) -> str:
+    return (
+        f"if {_fmt(e.cond, _CMP, memo)} {{ {_fmt(e.then, _SEQ, memo)} }}"
+        f" else {{ {_fmt(e.orelse, _SEQ, memo)} }}"
+    )
+
+
+def _while(e: While, memo: dict[int, str]) -> str:
+    return f"while {_fmt(e.cond, _CMP, memo)} {{ {_fmt(e.body, _SEQ, memo)} }}"
+
+
+def _for(e: For, memo: dict[int, str]) -> str:
+    return (
+        f"for {e.var} in {_fmt(e.start, _CMP, memo)} to {_fmt(e.stop, _CMP, memo)}"
+        f" {{ {_fmt(e.body, _SEQ, memo)} }}"
+    )
+
+
+def _seq(e: Seq, memo: dict[int, str]) -> str:
+    return "; ".join(_statements(e, memo))
+
+
+def _func(e: Func, memo: dict[int, str]) -> str:
+    return f"({e.param}: {pretty_type(e.annot)}) => {_fmt(e.body, _STMT, memo)}"
+
+
+def _app(e: App, memo: dict[int, str]) -> str:
+    return f"{_fmt(e.fn, _APP, memo)} {_fmt(e.arg, _ATOM, memo)}"
+
+
+def _ref(e: Ref, memo: dict[int, str]) -> str:
+    return f"ref({_fmt(e.inner, _SEQ, memo)})"
+
+
+def _deref(e: Deref, memo: dict[int, str]) -> str:
+    return f"!{e.name}"
+
+
+def _assign(e: Assign, memo: dict[int, str]) -> str:
+    return f"{e.name} := {_fmt(e.rhs, _STMT, memo)}"
+
+
+_RENDER = {
+    cls: globals()["_" + cls.__name__.lower()]
+    for cls in (Num, Bool, Unit, Var, Bop, Let, If, While, For, Seq, Func, App, Ref, Deref, Assign)
+}
 
 
 def _statements(e: Expr, memo: dict[int, str]) -> list[str]:
@@ -414,6 +471,8 @@ def pretty(e: Expr, memo: dict[int, str] | None = None) -> str:
     every node, renders each node once. One memo serves one tree that stays
     alive while the memo is used (one check). A node other than a `Seq` that
     is already in the memo costs one lookup: its text is its `pretty`.
+    A node that is not costs one lookup in `_RENDER` to find its renderer,
+    and each level of nesting below it two Python frames.
     """
     if memo is None:
         memo = {}

@@ -8,11 +8,13 @@ dispatch, and anything else raises TypeError. A rule concludes with the
 paper's triple (t, eff, Γ′): the expression's type, its write effect and the
 updated type environment, as a plain tuple that the rule over it unpacks
 into the names its side conditions quote. One check returns one `Judgment`,
-built from the root's triple. Every rule application logs a frame whose text
-is one memo lookup in `pretty` (a chain of statements slices its first
-frame's text). Failures raise CheckError with the rule name, the side
-condition that failed, the source position and the derivation path from the
-root to the failing rule.
+built from the root's triple. Every rule application logs a frame with its
+node's `pretty` text. One memo per check holds each node's text: the root's
+frame renders the whole tree into it, a node at a time, and each later frame
+is one lookup in it, except that a chain of statements joins its statements'
+texts and the frames down the chain slice that text. Failures raise
+CheckError with the rule name, the side condition that failed, the source
+position and the derivation path from the root to the failing rule.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ class Judgment:
         return _summary(self.ty, self.effect)
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceFrame:
     """One rule application: which rule, on what, and how it came out.
 

@@ -265,6 +265,25 @@ class TestLongChains:
             assert capsys.readouterr().out == captured.out
 
 
+class TestNestingReach:
+    """How deep a left-deep `+` chain goes under Python's default recursion
+    limit. The parser, the checker and the renderer recurse down `lhs`. Under
+    pytest 475 terms pass and 480 fail; this pins 450 so that none of them
+    lowers the reach."""
+
+    @pytest.mark.parametrize(
+        "args", [["parse"], ["check"], ["check", "--trace"], ["check", "--json", "--trace"]],
+        ids=" ".join,
+    )
+    def test_left_deep_sum_of_450_terms(self, src, capsys, args):
+        assert sys.getrecursionlimit() == 1000
+        assert main([*args, src("0" + " + 1" * 449)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if args == ["parse"]:
+            assert captured.out == "0" + " + 1" * 449 + "\n"
+
+
 class TestAstJson:
     def test_every_form_serialises(self):
         srcs = [

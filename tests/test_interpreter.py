@@ -1,6 +1,7 @@
 """Big-step evaluation: values, stores, faults, and fuel accounting."""
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -53,6 +54,18 @@ class TestValues:
         for v, field in ((IntV(3), "n"), (BoolV(True), "b"), (value_of("1 < 2"), "b")):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(v, field, 0)
+
+    @pytest.mark.parametrize("v", [IntV(3), BoolV(True)], ids=repr)
+    def test_values_are_slotted_and_reject_new_attributes(self, v):
+        assert not hasattr(v, "__dict__")
+        field = dataclasses.fields(v)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(v, field)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.other = 1
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            got = pickle.loads(pickle.dumps(v, protocol))
+            assert type(got) is type(v) and got == v
 
     def test_values_compare_and_hash_by_value(self):
         assert IntV(10**30) == IntV(10**30) and hash(IntV(7)) == hash(IntV(7))

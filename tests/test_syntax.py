@@ -44,6 +44,7 @@ from rescheck import (
     pretty_type,
     well_formed,
 )
+from rescheck import syntax
 from rescheck.syntax import Expr, Func, sequence
 
 
@@ -173,9 +174,7 @@ class TestPositions:
                 setattr(p, name, 1)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(p, name)
-        # A slotted frozen dataclass has no room for a new attribute; Python
-        # 3.11 reports that as a TypeError from the frozen class's setter.
-        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
             p.other = 1
         assert not hasattr(p, "__dict__")
         assert (p.line, p.col) == (2, 7)
@@ -355,3 +354,27 @@ class TestPretty:
     def test_pretty_rejects_non_expressions(self):
         with pytest.raises(TypeError):
             pretty("x")  # type: ignore[arg-type]
+
+
+class TestDispatch:
+    def concrete_exprs(self):
+        out, todo = set(), [Expr]
+        while todo:
+            cls = todo.pop()
+            todo.extend(cls.__subclasses__())
+            if cls is not Expr:
+                out.add(cls)
+        return out
+
+    def test_every_expr_class_has_exactly_one_renderer(self):
+        exprs = self.concrete_exprs()
+        assert len(exprs) == 15
+        assert set(syntax._RENDER) == exprs
+        renderers = list(syntax._RENDER.values())
+        assert len(set(renderers)) == len(renderers)
+
+    @pytest.mark.parametrize("e", [42, "x", None, Expr()], ids=["int", "str", "None", "bare Expr"])
+    def test_a_non_expr_is_a_type_error(self, e):
+        with pytest.raises(TypeError) as err:
+            pretty(e)
+        assert str(err.value) == f"not an Expr: {e!r}"

@@ -117,13 +117,15 @@ def test_each_node_is_rendered_once_per_check(name, monkeypatch):
     tree = PROGRAMS[name]()
     nodes = list(preorder(tree))
     rendered = Counter()
-    render = syntax._render
 
-    def counting(e, *args):
-        rendered[id(e)] += 1
-        return render(e, *args)
+    def counting(render):
+        def spy(e, *args):
+            rendered[id(e)] += 1
+            return render(e, *args)
+        return spy
 
-    monkeypatch.setattr(syntax, "_render", counting)
+    for cls, render in list(syntax._RENDER.items()):
+        monkeypatch.setitem(syntax._RENDER, cls, counting(render))
     trace_check({}, LOW, tree)
     # A chain's statements are rendered one by one, never the Seqs that
     # link them, and a top-level chain is not rendered as a whole either.
