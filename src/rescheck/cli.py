@@ -17,6 +17,7 @@ from dataclasses import fields
 
 from .harness import CorpusError, GenConfig, SUITES, run_corpus, run_suite
 from .interpreter import (
+    DEFAULT_FUEL,
     DepthExceeded,
     Ok,
     RuntimeFault,
@@ -36,8 +37,6 @@ EXIT_FUEL_EXHAUSTED = 5
 EXIT_VIOLATION = 6
 EXIT_DEPTH_EXCEEDED = 7
 EXIT_USAGE = 2  # a bad command line or environment: argparse exits 2 for its own usage errors
-
-DEFAULT_FUEL = 10000
 
 
 def _emit(obj: dict) -> None:
@@ -189,8 +188,8 @@ def cmd_nitest(args: argparse.Namespace) -> int:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_IO_ERROR
     suites = list(SUITES) if args.suite == "all" else [args.suite]
-    cfg = GenConfig(rng_seed=args.seed, fuel=args.fuel, trials=args.trials)
-    reports = [run_suite(name, cfg) for name in suites]
+    cfg = GenConfig(rng_seed=args.seed, fuel=args.fuel)
+    reports = [run_suite(name, cfg, args.trials) for name in suites]
     violations = sum(len(r.violations) for r in reports)
     failed = violations > 0 or (corpus is not None and not corpus.ok)
     if args.json:

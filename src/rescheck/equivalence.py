@@ -108,13 +108,14 @@ def _returning(t: FunType) -> Expr:
 
 
 def related_values(
-    t: SecType, rng: random.Random, s1: Store, s2: Store, shape: str = "int"
+    t: SecType, rng: random.Random, s1: Store, s2: Store, shape: str = "i"
 ) -> tuple[Value, Value]:
     """A pair of values a low observer cannot tell apart at the well-formed
     type t, with any reference allocated into s1 and s2.
 
-    `shape` ("int", "bool" or "unit") is the runtime shape of a base value
-    or of a reference's contents. A Low value, or the contents of a ref Low,
+    `shape` is the runtime shape of a base value or of a reference's
+    contents, as the harness's name prefixes spell it: "i" an int, "b" a
+    bool, and anything else unit. A Low value, or the contents of a ref Low,
     is drawn once and shared; a High or () one is drawn for each side. A
     function type gets one closure on both sides, whose body `_returning`
     builds. It writes nothing, so it has every latent effect.
@@ -125,9 +126,9 @@ def related_values(
     level = t.inner if isinstance(t, RefType) else t
 
     def draw() -> Value:
-        if shape == "int":
+        if shape == "i":
             return IntV(rng.randint(*INT_RANGE))
-        return BoolV(rng.random() < 0.5) if shape == "bool" else UNIT
+        return BoolV(rng.random() < 0.5) if shape == "b" else UNIT
 
     v1 = draw()
     v2 = v1 if isinstance(level, Low) else draw()

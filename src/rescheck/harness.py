@@ -9,12 +9,12 @@ and then thrown away. Expressions never apply an effectful function, so
 they write nothing and no effect needs tracking. Each trial checks its
 program once; that check is the generator's postcondition, and a
 `CheckError` from it is a generator bug.
-Alongside the security level of each binding the generator tracks a runtime
-shape (int, bool, unit, ref or function), which the type system itself does
-not, so that generated programs do not get stuck on shape errors.
 
-Variable names encode their shape by prefix (i/b/u/ri/rb/f) so that state
-generation can build matching values from the type environment alone.
+The generator's context is Γ, the checker's own `TEnv` of security types.
+The runtime shape of a binding, which the type system does not track, is
+its name's prefix (i, b, u, ri, rb or f: int, bool, unit, ref int, ref bool
+or function), so that generated programs do not get stuck on shape errors
+and state generation can build matching values from Γ alone.
 
 Builders are drawn by weight from tables built once, at import (`_Table`).
 Each pick consumes one `rng.random()`, as `rng.choices` would.
@@ -41,6 +41,7 @@ from .equivalence import (
     value_equiv,
 )
 from .interpreter import (
+    DEFAULT_FUEL,
     DepthExceeded,
     FuelExhausted,
     Ok,
@@ -89,8 +90,7 @@ from .typechecker import CheckError, Judgment, TEnv, check, check_program
 @dataclass(frozen=True)
 class GenConfig:
     rng_seed: int = 0
-    fuel: int = 10000
-    trials: int = 200
+    fuel: int = DEFAULT_FUEL
 
 
 MAX_DEPTH = 5  # statement and expression nesting of generated programs
@@ -141,27 +141,31 @@ def _derive(seed: int, salt: int) -> int:
     return (seed * _GOLDEN + salt) & _MASK
 
 
-# Shape tracking --------------------------------------------------------------
+# Shapes ----------------------------------------------------------------------
 
-_PREFIXES = {
-    "ri": ("ref", "int"),
-    "rb": ("ref", "bool"),
-    "i": "int",
-    "b": "bool",
-    "u": "unit",
-    "f": "fun",
-}
+# The shape prefixes, in `gen_tenv`'s draw order, each with its type at a level.
+_TENV_CHOICES = [
+    ("i", lambda lvl: lvl),
+    ("b", lambda lvl: lvl),
+    ("u", lambda lvl: LOW),
+    ("ri", lambda lvl: RefType(lvl)),
+    ("rb", lambda lvl: RefType(lvl)),
+    ("f", lambda lvl: FunType(lvl, lvl, EMPTY)),
+]
+_SHAPES = frozenset(prefix for prefix, _ in _TENV_CHOICES)
 
 
-def _kind_from_name(name: str, t: SecType):
-    kind = _PREFIXES.get(name.rstrip("0123456789"))
-    if kind is not None:
-        return kind
+def _shape(name: str, t: SecType) -> str:
+    """The shape of a binding of t: its name's prefix, or for a name with
+    none, ri for a ref, f for a function and i for anything else."""
+    prefix = name.rstrip("0123456789")
+    if prefix in _SHAPES:
+        return prefix
     if isinstance(t, RefType):
-        return ("ref", "int")
+        return "ri"
     if isinstance(t, FunType):
-        return "fun"
-    return "int"
+        return "f"
+    return "i"
 
 
 _BOTH = (LOW, HIGH)
@@ -205,6 +209,11 @@ _table = cache(_Table)
 class _Gen:
     """Builds a program top-down, each subtree once.
 
+    The context is Γ, a `TEnv`; a name's shape is read from its prefix. A
+    binding statement adds the type the checker gives it, so the context
+    after a program is the checker's `out_env`. A filter over the context
+    tests a binding's type before its shape, which costs a call.
+
     An expression is built under a cap, the highest level it may have: a
     literal is Low, so one always exists; var, deref and app draw from
     sources at or below the cap, and bop and if pass it to their operands.
@@ -242,61 +251,67 @@ class _Gen:
 
     # -- expressions ---------------------------------------------------------
 
-    def gen_expr(self, ctx, depth, kind, cap):
-        """(expr, level): an expression of the given shape whose level is at
-        most `cap`. It writes nothing, so it needs no pc."""
-        if kind == "unit":
+    def gen_expr(self, ctx: TEnv, depth, shape, cap):
+        """(expr, level): an expression of the given shape (i, b or u) whose
+        level is at most `cap`. It writes nothing, so it needs no pc."""
+        if shape == "u":
             table = _UNIT_EXPRS
         elif depth <= 0:
             table = _LEAF_EXPRS
         else:
-            table = _INT_EXPRS if kind == "int" else _BOOL_EXPRS
-        return self.draw(table, ctx, depth, kind, cap)
+            table = _INT_EXPRS if shape == "i" else _BOOL_EXPRS
+        return self.draw(table, ctx, depth, shape, cap)
 
-    def high_expr(self, ctx, kind) -> Expr | None:
+    def high_expr(self, ctx: TEnv, shape) -> Expr | None:
         """An expression of exactly High: a High variable or a deref of a
         ref High of the given shape, or None when none is in scope."""
-        sources = [(Var, n) for n, (t, k) in ctx.items() if k == kind and isinstance(t, High)]
+        sources = [
+            (Var, n) for n, t in ctx.items() if isinstance(t, High) and _shape(n, t) == shape
+        ]
         sources += [
             (Deref, n)
-            for n, (t, k) in ctx.items()
-            if k == ("ref", kind) and isinstance(t.inner, High)
+            for n, t in ctx.items()
+            if isinstance(t, RefType) and isinstance(t.inner, High) and _shape(n, t) == "r" + shape
         ]
         if not sources:
             return None
         node, name = self.rng.choice(sources)
         return node(name)
 
-    def _expr_literal(self, ctx, depth, kind, cap):
-        if kind == "int":
+    def _expr_literal(self, ctx, depth, shape, cap):
+        if shape == "i":
             return Num(str(self.rng.randint(*INT_RANGE))), LOW
-        if kind == "bool":
+        if shape == "b":
             return Bool(self.rng.random() < 0.5), LOW
         return Unit(), LOW
 
-    def _expr_var(self, ctx, depth, kind, cap):
-        names = [n for n, (t, k) in ctx.items() if k == kind and leq(t, cap)]
+    def _expr_var(self, ctx, depth, shape, cap):
+        names = [n for n, t in ctx.items() if _shape(n, t) == shape and leq(t, cap)]
         if not names:
             return None
         name = self.rng.choice(names)
-        return Var(name), ctx[name][0]
+        return Var(name), ctx[name]
 
-    def _expr_deref(self, ctx, depth, kind, cap):
-        names = [n for n, (t, k) in ctx.items() if k == ("ref", kind) and leq(t.inner, cap)]
+    def _expr_deref(self, ctx, depth, shape, cap):
+        names = [
+            n
+            for n, t in ctx.items()
+            if isinstance(t, RefType) and leq(t.inner, cap) and _shape(n, t) == "r" + shape
+        ]
         if not names:
             return None
         name = self.rng.choice(names)
-        return Deref(name), ctx[name][0].inner
+        return Deref(name), ctx[name].inner
 
-    def _expr_bop(self, ctx, depth, kind, cap):
+    def _expr_bop(self, ctx, depth, shape, cap):
         rng = self.rng
-        if kind == "int":
+        if shape == "i":
             op = rng.choice([BinOp.ADD, BinOp.SUB, BinOp.MUL, BinOp.DIV])
-            operand_kind = "int"
+            operand_shape = "i"
         else:
             op = rng.choice([BinOp.EQ, BinOp.LT, BinOp.GT])
-            operand_kind = "bool" if op is BinOp.EQ and rng.random() < 0.5 else "int"
-        e1, t1 = self.gen_expr(ctx, depth - 1, operand_kind, cap)
+            operand_shape = "b" if op is BinOp.EQ and rng.random() < 0.5 else "i"
+        e1, t1 = self.gen_expr(ctx, depth - 1, operand_shape, cap)
         if op is BinOp.DIV:
             # nonzero literal divisor keeps generated programs from faulting
             return Bop(op, e1, Num(str(rng.randint(1, 8)))), t1
@@ -304,39 +319,40 @@ class _Gen:
             # literal factor caps value growth per step; repeated squaring
             # inside loops would otherwise make single steps arbitrarily slow
             return Bop(op, e1, Num(str(rng.randint(*INT_RANGE)))), t1
-        e2, t2 = self.gen_expr(ctx, depth - 1, operand_kind, cap)
+        e2, t2 = self.gen_expr(ctx, depth - 1, operand_shape, cap)
         if rng.random() < 0.5:
             e1, e2 = e2, e1
         return Bop(op, e1, e2), join([t1, t2])
 
-    def _expr_app(self, ctx, depth, kind, cap):
+    def _expr_app(self, ctx, depth, shape, cap):
         # only a function that writes nothing keeps the application effect-free
         funs = [
             n
-            for n, (t, k) in ctx.items()
-            if k == "fun" and isinstance(t.latent, Empty) and leq(t.result, cap)
+            for n, t in ctx.items()
+            if isinstance(t, FunType) and isinstance(t.latent, Empty) and leq(t.result, cap)
+            and _shape(n, t) == "f"
         ]
         if not funs:
             return None
         name = self.rng.choice(funs)
-        ft: FunType = ctx[name][0]
+        ft: FunType = ctx[name]
         if isinstance(ft.param, High):
-            arg = self.high_expr(ctx, "int")
+            arg = self.high_expr(ctx, "i")
             if arg is None:
                 return None
         else:
-            arg = self.gen_expr(ctx, depth - 1, "int", LOW)[0]
+            arg = self.gen_expr(ctx, depth - 1, "i", LOW)[0]
         return App(Var(name), arg), ft.result
 
-    def _expr_ifexpr(self, ctx, depth, kind, cap):
-        ce, ct = self.gen_expr(ctx, depth - 1, "bool", cap)
-        te, tt = self.gen_expr(ctx, depth - 1, kind, cap)
-        oe, ot = self.gen_expr(ctx, depth - 1, kind, cap)
+    def _expr_ifexpr(self, ctx, depth, shape, cap):
+        ce, ct = self.gen_expr(ctx, depth - 1, "b", cap)
+        te, tt = self.gen_expr(ctx, depth - 1, shape, cap)
+        oe, ot = self.gen_expr(ctx, depth - 1, shape, cap)
         return If(ce, te, oe), join([ct, tt, ot])
 
     # -- statements ----------------------------------------------------------
 
-    def gen_program(self, ctx, pc, depth) -> Expr:
+    def gen_program(self, ctx: TEnv, pc, depth) -> Expr:
         stmts: list[Expr] = []
         for _ in range(self.rng.randint(1, 3)):
             stmts.extend(self.gen_stmt(ctx, pc, depth))
@@ -344,45 +360,45 @@ class _Gen:
             stmts.extend(self._stmt_expr(ctx, pc, depth))
         return sequence(stmts)
 
-    def gen_stmt(self, ctx, pc, depth) -> list[Expr]:
+    def gen_stmt(self, ctx: TEnv, pc, depth) -> list[Expr]:
         return self.draw(_STMTS if depth > 0 else _FLAT_STMTS, ctx, pc, depth)
 
-    def _stored(self, ctx, pc, depth, kind):
+    def _stored(self, ctx, pc, depth, shape):
         """(expr, level) of a value to bind: any level under a Low floor,
         exactly High under a High one (None with no High source)."""
         if isinstance(self.floor(pc), Low):
-            return self.gen_expr(ctx, depth, kind, HIGH)
-        e = self.high_expr(ctx, kind)
+            return self.gen_expr(ctx, depth, shape, HIGH)
+        e = self.high_expr(ctx, shape)
         return None if e is None else (e, HIGH)
 
     def _stmt_expr(self, ctx, pc, depth):
-        kind = _STMT_EXPR_KINDS.items[_STMT_EXPR_KINDS.pick(self.rng)]
-        return [self.gen_expr(ctx, depth, kind, HIGH)[0]]
+        shape = _STMT_EXPR_SHAPES.items[_STMT_EXPR_SHAPES.pick(self.rng)]
+        return [self.gen_expr(ctx, depth, shape, HIGH)[0]]
 
     def _stmt_let_base(self, ctx, pc, depth):
-        kind = self.rng.choice(["int", "int", "bool"])
-        got = self._stored(ctx, pc, depth, kind)
+        shape = self.rng.choice(["i", "i", "b"])
+        got = self._stored(ctx, pc, depth, shape)
         if got is None:
             return None
-        name = self.fresh("i" if kind == "int" else "b")
-        ctx[name] = (got[1], kind)
+        name = self.fresh(shape)
+        ctx[name] = got[1]
         return [Let(name, None, got[0])]
 
     def _stmt_let_annot(self, ctx, pc, depth):
         ann = HIGH if isinstance(self.floor(pc), High) else self.rng.choice(_BOTH)
-        kind = self.rng.choice(["int", "int", "bool"])
-        rhs = self.gen_expr(ctx, depth, kind, ann)[0]
-        name = self.fresh("i" if kind == "int" else "b")
-        ctx[name] = (ann, kind)
+        shape = self.rng.choice(["i", "i", "b"])
+        rhs = self.gen_expr(ctx, depth, shape, ann)[0]
+        name = self.fresh(shape)
+        ctx[name] = ann
         return [Let(name, ann, rhs)]
 
     def _stmt_let_ref(self, ctx, pc, depth):
-        kind = self.rng.choice(["int", "int", "bool"])
-        got = self._stored(ctx, pc, depth, kind)
+        shape = self.rng.choice(["i", "i", "b"])
+        got = self._stored(ctx, pc, depth, shape)
         if got is None:
             return None
-        name = self.fresh("ri" if kind == "int" else "rb")
-        ctx[name] = (RefType(got[1]), ("ref", kind))
+        name = self.fresh("r" + shape)
+        ctx[name] = RefType(got[1])
         return [Let(name, None, Ref(got[0]))]
 
     def _stmt_let_fun(self, ctx, pc, depth):
@@ -391,27 +407,28 @@ class _Gen:
         param_t = self.rng.choice(_BOTH)
         param = self.fresh("i")
         body_ctx = dict(ctx)
-        body_ctx[param] = (param_t, "int")
-        body, result_t = self.gen_expr(body_ctx, min(depth - 1, 2), "int", HIGH)
+        body_ctx[param] = param_t
+        body, result_t = self.gen_expr(body_ctx, min(depth - 1, 2), "i", HIGH)
         name = self.fresh("f")
-        ctx[name] = (FunType(param_t, result_t, EMPTY), "fun")
+        ctx[name] = FunType(param_t, result_t, EMPTY)
         return [Let(name, None, Func(param, param_t, body))]
 
     def _stmt_assign(self, ctx, pc, depth):
         floor = self.floor(pc)
-        targets = [n for n, (t, k) in ctx.items() if isinstance(t, RefType) and leq(floor, t.inner)]
+        targets = [n for n, t in ctx.items() if isinstance(t, RefType) and leq(floor, t.inner)]
         if not targets:
             return None
         name = self.rng.choice(targets)
-        t, (_, kind) = ctx[name]
-        return [Assign(name, self.gen_expr(ctx, depth, kind, t.inner)[0])]
+        t = ctx[name]
+        # a ref's shape ends in the shape of its contents
+        return [Assign(name, self.gen_expr(ctx, depth, _shape(name, t)[-1], t.inner)[0])]
 
     def _stmt_app(self, ctx, pc, depth):
-        got = self._expr_app(ctx, max(depth, 1), "int", HIGH)
+        got = self._expr_app(ctx, max(depth, 1), "i", HIGH)
         return None if got is None else [got[0]]
 
     def _stmt_if(self, ctx, pc, depth):
-        ce, ct = self.gen_expr(ctx, depth - 1, "bool", HIGH)
+        ce, ct = self.gen_expr(ctx, depth - 1, "b", HIGH)
         pc2 = join([pc, ct])
         then = self.gen_program(dict(ctx), pc2, depth - 1)
         orelse = self.gen_program(dict(ctx), pc2, depth - 1)
@@ -423,7 +440,7 @@ class _Gen:
         # discard path
         diverge = self.rng.random() < 0.06
         if isinstance(self.floor(pc), High):
-            init = self.high_expr(ctx, "int")
+            init = self.high_expr(ctx, "i")
             if init is None:
                 return None
             level = HIGH
@@ -438,7 +455,7 @@ class _Gen:
             # can reassign it and the trailing decrement guarantees termination
             stmts = self.gen_stmt(dict(ctx), join([pc, level]), depth - 1)
             body = sequence([*stmts, Assign(name, Bop(BinOp.SUB, Deref(name), Num("1")))])
-        ctx[name] = (RefType(level), ("ref", "int"))
+        ctx[name] = RefType(level)
         cond = Bop(BinOp.GT, Deref(name), Num("0"))
         return [Let(name, None, Ref(init)), While(cond, body)]
 
@@ -447,7 +464,7 @@ class _Gen:
         b = a + self.rng.randint(0, MAX_FOR_SPAN)
         var = self.fresh("i")
         body_ctx = dict(ctx)
-        body_ctx[var] = (pc, "int")  # bounds are literals, so pc2 == pc
+        body_ctx[var] = pc  # bounds are literals, so pc2 == pc
         body = self.gen_program(body_ctx, pc, depth - 1)
         return [For(var, Num(str(a)), Num(str(b)), body)]
 
@@ -465,20 +482,10 @@ _FLAT_STMTS = _Table((
 _STMTS = _Table((
     *_FLAT_STMTS.options, (1.5, _Gen._stmt_if), (1.0, _Gen._stmt_while), (1.0, _Gen._stmt_for)
 ))
-_STMT_EXPR_KINDS = _Table(((3, "int"), (1.5, "bool"), (0.5, "unit")))
+_STMT_EXPR_SHAPES = _Table(((3, "i"), (1.5, "b"), (0.5, "u")))
 
 
 # Public generator entry points ------------------------------------------------
-
-_TENV_CHOICES = [
-    ("i", lambda lvl: lvl),
-    ("b", lambda lvl: lvl),
-    ("u", lambda lvl: LOW),
-    ("ri", lambda lvl: RefType(lvl)),
-    ("rb", lambda lvl: RefType(lvl)),
-    ("f", lambda lvl: FunType(lvl, lvl, EMPTY)),
-]
-
 
 def gen_tenv(cfg: GenConfig) -> TEnv:
     """A random typing context of 0..6 bindings.
@@ -504,24 +511,21 @@ def gen_welltyped(cfg: GenConfig, tenv: TEnv, pc: SecType, effect_clean: bool = 
     is never applied; `gen_tenv` makes none, and no caller passes one.
     """
     g = _Gen(random.Random(_derive(cfg.rng_seed, _ROLE_PROG)), effect_clean=effect_clean)
-    ctx = {name: (t, _kind_from_name(name, t)) for name, t in tenv.items()}
-    return g.gen_program(ctx, pc, MAX_DEPTH)
+    return g.gen_program(dict(tenv), pc, MAX_DEPTH)
 
 
 def gen_lowequiv_states(cfg: GenConfig, tenv: TEnv) -> tuple[State, State]:
     """Two states for tenv that agree on everything a low observer sees.
 
-    Each binding gets a pair from `related_values`, with the runtime shape
-    its name encodes.
+    Each binding gets a pair from `related_values`, of the shape its name
+    encodes: a ref's shape ends in the shape of its contents.
     """
     rng = random.Random(_derive(cfg.rng_seed, _ROLE_STATE))
     env1: dict[str, Value] = {}
     env2: dict[str, Value] = {}
     st1, st2 = Store(), Store()
     for name, t in tenv.items():
-        kind = _kind_from_name(name, t)
-        shape = kind[1] if isinstance(kind, tuple) else kind
-        env1[name], env2[name] = related_values(t, rng, st1, st2, shape)
+        env1[name], env2[name] = related_values(t, rng, st1, st2, _shape(name, t)[-1])
     s1, s2 = State(env1, st1), State(env2, st2)
     eq_cfg = EquivConfig(rng_seed=_derive(cfg.rng_seed, _ROLE_EQUIV))
     assert low_equiv(tenv, s1, s2, eq_cfg), "generated states must be low-equivalent"
@@ -679,11 +683,9 @@ def _state_json(s: State) -> dict:
     }
 
 
-def run_suite(suite: str, cfg: GenConfig, trials: int | None = None) -> SuiteReport:
-    """Run independent trials of one suite with per-trial derived seeds."""
+def run_suite(suite: str, cfg: GenConfig, trials: int) -> SuiteReport:
+    """Run `trials` independent trials of one suite with per-trial derived seeds."""
     fn = _TRIAL_FNS[suite]
-    if trials is None:
-        trials = cfg.trials
     base = _derive(cfg.rng_seed, _SUITE_TABLE[suite].salt)
     report = SuiteReport(suite, trials)
     for i in range(trials):

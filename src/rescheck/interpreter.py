@@ -209,6 +209,8 @@ class _Stop(Exception):
 # into DepthExceeded instead of crashing the host.
 _MAX_DEPTH = 2500
 
+DEFAULT_FUEL = 10000  # the step budget of a run that names none
+
 Code = Callable[[Env], Value]
 
 
@@ -512,9 +514,3 @@ def run_program(e: Expr, fuel: int) -> Outcome:
     """Evaluate a whole program from an empty environment and store."""
     return evaluate(e, {}, Store(), fuel)
 
-
-__all__ = [
-    "BoolV", "ClosV", "DepthExceeded", "Env", "FaultKind", "FuelExhausted", "IntV", "LocV",
-    "Ok", "Outcome", "RuntimeFault", "State", "Store", "UnitV", "Value",
-    "evaluate", "pretty_value", "run_program",
-]

@@ -147,13 +147,6 @@ class _Checker:
         frame.judged = judged[:2]
         return judged
 
-    def _join(self, parts: list[SecType], rule: str, condition: str, e: Expr) -> SecType:
-        try:
-            return join(parts)
-        except LatticeError:
-            self.fail(rule, condition, e)
-            raise AssertionError  # unreachable
-
     def _num(self, frame: TraceFrame, env: TEnv, pc: SecType, e: Expr) -> Judged:
         return LOW, EMPTY, env
 
@@ -170,8 +163,7 @@ class _Checker:
         t3, t4, _ = self.check(env, pc, e.rhs)
         if not (is_base(t1) and is_base(t3)):
             self.fail("Bop", "t1, t3 ∈ {Low, High}", e)
-        t5 = self._join([t1, t3], "Bop", "t5 = ⊔{t1, t3}", e)
-        return t5, meet([t2, t4]), env
+        return join([t1, t3]), meet([t2, t4]), env
 
     def _let(self, frame: TraceFrame, env: TEnv, pc: SecType, e: Let) -> Judged:
         x, t1, rhs = e.name, e.annot, e.rhs
@@ -223,7 +215,10 @@ class _Checker:
         pc2 = join([pc, t1])
         t3, t4, _ = self.check(env, pc2, e.then)
         t5, t6, _ = self.check(env, pc2, e.orelse)
-        t7 = self._join([t1, t3, t5], "If-Else", "t7 = ⊔{t1, t3, t5}", e)
+        try:
+            t7 = join([t1, t3, t5])
+        except LatticeError:
+            self.fail("If-Else", "t7 = ⊔{t1, t3, t5}", e)
         return t7, meet([t2, t4, t6]), env
 
     def _while(self, frame: TraceFrame, env: TEnv, pc: SecType, e: While) -> Judged:

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -28,6 +30,8 @@ from rescheck import cli, parse
 _SRC = os.pathsep.join(
     filter(None, [str(Path(rescheck.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")])
 )
+
+README = Path(__file__).parents[1] / "README.md"
 
 ALIASING = "let l = ref(2)\nlet h = l\nh := 4\n!l"
 HIGH_INTO_LOW = "let l = ref(2)\nlet h: high = 4\nl := h"
@@ -446,6 +450,64 @@ class TestNitest:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: " + message.format(path=corpus / "expectations.json"))
+
+
+def readme_block(lang: str, containing: str) -> str:
+    """The body of the one ```lang block of README.md that contains the text."""
+    blocks = re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(), re.M | re.S)
+    (body,) = [b for b in blocks if containing in b]
+    return body
+
+
+def replay(session: str, capsys) -> None:
+    """Run a README console session: each `$ rescheck ...` through main, with
+    its shown output on stdout when it exits 0 and on stderr otherwise;
+    `$ echo $?` shows the last exit code; `$ echo 'text' > file` writes."""
+    code = None
+    for cmd in re.split(r"^\$ ", session, flags=re.M)[1:]:
+        line, _, shown = cmd.partition("\n")
+        shown = shown.rstrip("\n") + "\n" if shown.strip() else ""
+        argv = shlex.split(line)
+        if argv == ["echo", "$?"]:
+            assert shown == f"{code}\n"
+        elif argv[0] == "echo":
+            text, redirect, path = argv[1:]
+            assert redirect == ">" and shown == ""
+            Path(path).write_text(text + "\n")
+        else:
+            assert argv[0] == "rescheck", line
+            code = main(argv[1:])
+            out, err = capsys.readouterr()
+            assert (out, err) == ((shown, "") if code == EXIT_OK else ("", shown)), line
+
+
+class TestReadme:
+    """README's examples, run from README's own text."""
+
+    @pytest.mark.parametrize(
+        "files, session",
+        [
+            ({"demo.resc": "// demo.resc:"}, "$ rescheck check demo.resc"),
+            ({"leak.resc": "let out = ref(0)"}, "$ rescheck check leak.resc"),
+            ({}, "$ rescheck check --trace one.resc"),
+        ],
+        ids=["quick start", "leak", "trace"],
+    )
+    def test_console_session_is_current(self, files, session, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for name, marker in files.items():
+            Path(name).write_text(readme_block("text", marker))
+        replay(readme_block("console", session), capsys)
+
+    def test_library_snippet_shows_current_values(self):
+        snippet = readme_block("python", "run_program(")
+        scope: dict = {}
+        exec(snippet, scope)
+        shown = dict(re.findall(r"^(\w+) = .*?# (.*)$", snippet, re.M))
+        assert shown.keys() == {"j", "out"}
+        for name, text in shown.items():
+            pattern = re.escape(text).replace(re.escape("..."), ".*")
+            assert re.fullmatch(pattern, repr(scope[name])), (name, repr(scope[name]))
 
 
 class TestCounts:

@@ -173,11 +173,20 @@ class TestClosures:
         assert low_equiv({"f": t}, State({"f": c1}, S0), State({"f": c2}, S0))
 
     def test_related_values_relate_at_every_type(self):
+        base = {"i": IntV, "b": BoolV, "u": UnitV}
         for t in enumerate_types(2):
-            for shape in ("int", "bool", "unit"):
+            for shape, cls in base.items():
                 s1, s2 = Store(), Store()
                 v1, v2 = related_values(t, random.Random(0), s1, s2, shape)
                 assert value_equiv(v1, s1, v2, s2, t), (t, shape)
+                if isinstance(t, FunType):
+                    assert isinstance(v1, ClosV) and v1 == v2, (t, shape)
+                elif isinstance(t, RefType):
+                    assert isinstance(v1, LocV) and isinstance(v2, LocV), (t, shape)
+                    drawn = (s1.data[v1.loc], s2.data[v2.loc])
+                    assert all(type(v) is cls for v in drawn), (t, shape)
+                else:
+                    assert type(v1) is cls and type(v2) is cls, (t, shape)
 
     def test_sampling_is_deterministic_in_the_seed(self):
         c1 = ClosV(parse("x + 1"), "x", {})

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -198,6 +199,84 @@ class TestGenWelltyped:
                 assert all(t.latent == EMPTY for t in bound)
 
 
+    def test_names_whose_prefix_is_not_their_type_are_left_alone(self):
+        # a filter tests the type before the shape, so a level named like a
+        # ref or a function is never dereferenced or applied
+        tenv = {"ri0": HIGH, "f1": LOW, "i2": HIGH}
+        for pc, clean in [(LOW, False), (HIGH, False), (LOW, True)]:
+            for seed in range(100):
+                prog = gen_welltyped(GenConfig(rng_seed=seed), tenv, pc, effect_clean=clean)
+                check(dict(tenv), pc, prog)  # must not raise
+
+
+class TestContextIsTheOutEnv:
+    """The generator's context is Γ: after a program, it is the checker's
+    `out_env` for that program, binding for binding and in order."""
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_context_after_a_program_is_the_out_env(self, suite):
+        spec = harness._SUITE_TABLE[suite]
+        base = harness._derive(0, spec.salt)  # the seeds run_suite gives its trials
+        for i in range(250):
+            cfg = GenConfig(rng_seed=harness._derive(base, i + 1))
+            tenv = gen_tenv(cfg)
+            rng = random.Random(harness._derive(cfg.rng_seed, harness._ROLE_PROG))
+            ctx = dict(tenv)
+            prog = harness._Gen(rng, spec.effect_clean).gen_program(ctx, spec.pc, harness.MAX_DEPTH)
+            assert prog == gen_welltyped(cfg, tenv, spec.pc, effect_clean=spec.effect_clean)
+            assert list(ctx.items()) == list(check(tenv, spec.pc, prog).out_env.items())
+
+
+def rename_binders(e: Expr, new) -> Expr:
+    """e with every binder and every use of a name renamed by `new`."""
+    changes = {}
+    for f in dataclasses.fields(e):
+        v = getattr(e, f.name)
+        if isinstance(v, Expr):
+            changes[f.name] = rename_binders(v, new)
+        elif f.name in ("name", "param", "var"):
+            changes[f.name] = new(v)
+    return dataclasses.replace(e, **changes)
+
+
+class TestWeakeningAndRenaming:
+    """Over 1,000 generated programs, a judgment does not depend on unused
+    bindings or on the names of the binders the program makes."""
+
+    EXTRA = [LOW, HIGH, RefType(LOW), RefType(HIGH), FunType(HIGH, LOW, EMPTY)]
+
+    @staticmethod
+    def judged_programs():
+        for seed in range(1000):
+            spec = harness._SUITE_TABLE[SUITES[seed % len(SUITES)]]
+            cfg = GenConfig(rng_seed=seed)
+            tenv = gen_tenv(cfg)
+            prog = gen_welltyped(cfg, tenv, spec.pc, effect_clean=spec.effect_clean)
+            yield tenv, spec.pc, prog, check(tenv, spec.pc, prog)
+
+    def test_an_unused_binding_only_adds_itself(self):
+        for k, (tenv, pc, prog, j) in enumerate(self.judged_programs()):
+            t = self.EXTRA[k % len(self.EXTRA)]
+            j2 = check({"z": t, **tenv}, pc, prog)
+            assert (j2.ty, j2.effect) == (j.ty, j.effect)
+            assert j2.out_env == {"z": t, **j.out_env}
+
+    def test_renaming_binders_renames_the_out_env(self):
+        def new(name):  # i12 -> i1012; the tenv's names, numbered below 10, stay
+            prefix = name.rstrip("0123456789")
+            n = int(name[len(prefix):])
+            return name if n < 10 else f"{prefix}{1000 + n}"
+
+        renamed = 0
+        for tenv, pc, prog, j in self.judged_programs():
+            prog2 = rename_binders(prog, new)
+            j2 = check(tenv, pc, prog2)
+            assert (j2.ty, j2.effect) == (j.ty, j.effect)
+            assert j2.out_env == {new(n): t for n, t in j.out_env.items()}
+            renamed += prog2 != prog
+        assert renamed > 850  # 897 of the 1,000 programs bind a name
+
+
 class TestGenStates:
     def test_states_are_low_equivalent(self):
         for seed in range(60):
@@ -297,10 +376,6 @@ class TestSuites:
         assert report.passes + report.discarded == 40
         assert report.passes > 0
 
-    def test_trials_default_to_the_config(self):
-        report = run_suite("soundness", GenConfig(rng_seed=5, trials=7))
-        assert report.trials == 7
-
     def test_deterministic_reports(self):
         cfg = GenConfig(rng_seed=13)
         a = run_suite("soundness", cfg, trials=25)
@@ -330,7 +405,7 @@ class TestSuites:
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(KeyError):
-            run_suite("nonsense", GenConfig())
+            run_suite("nonsense", GenConfig(), 1)
 
 
 class TestSuiteObservers:
