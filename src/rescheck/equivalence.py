@@ -83,10 +83,9 @@ def _high_eq(v1: Value, v2: Value) -> bool:
 
 
 def _closures_identical(c1: ClosV, s1: Store, c2: ClosV, s2: Store) -> bool:
-    """Syntactically the same function with captures that agree at Low."""
+    """Syntactically the same function with captures that agree at Low; the
+    caller has checked that both capture the same names."""
     if c1.body != c2.body or c1.param != c2.param:
-        return False
-    if c1.env.keys() != c2.env.keys():
         return False
     return all(
         _low_eq(c1.env[k], s1, c2.env[k], s2, set()) for k in c1.env
@@ -170,10 +169,10 @@ class _Equiv:
     ) -> bool:
         if not isinstance(v1, ClosV) or not isinstance(v2, ClosV):
             return False
-        if _closures_identical(v1, s1, v2, s2):
-            return True
         if v1.env.keys() != v2.env.keys():
             return False
+        if _closures_identical(v1, s1, v2, s2):
+            return True
         self.stats.closure_pairs_sampled += 1
         if depth <= 0:
             self.stats.inconclusive_runs += self.cfg.closure_samples

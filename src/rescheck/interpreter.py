@@ -28,13 +28,13 @@ from __future__ import annotations
 import operator
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NoReturn
 
 from .syntax import (
     App, Assign, BinOp, Bool, Bop, Deref, Expr, For, Func, If, Let, Num, Pos, Ref, Seq, Unit, Var,
-    While,
+    While, record,
 )
 
 # ---------------------------------------------------------------------------
@@ -44,43 +44,38 @@ from .syntax import (
 class Value:
     __slots__ = ()
 
-    def __reduce__(self):  # pickle by fields: frozen slots refuse the default setstate
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
-
-@dataclass(frozen=True, init=False)
+@record
 class IntV(Value):
-    __slots__ = ("n",)  # named here, so the frozen __setattr__ closes over this class
+    __slots__ = ("n",)
     n: int
 
-    def __init__(self, n: int):
-        _set_n(self, n)
 
-
-@dataclass(frozen=True)
+@record
 class BoolV(Value):
     __slots__ = ("b",)
     b: bool
 
 
-_set_n = IntV.n.__set__  # the slot's own setter, without the frozen class's __setattr__ path
 _BOOL = (BoolV(False), BoolV(True)).__getitem__  # a bool to one of two shared BoolVs
 
 
-@dataclass(frozen=True)
+@record
 class UnitV(Value):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class LocV(Value):
+    __slots__ = ("loc",)
     loc: int
 
 
-@dataclass(frozen=True)
+@record
 class ClosV(Value):
     """A closure: the body, the parameter name and the defining environment."""
 
+    __slots__ = ("body", "param", "env")
     body: Expr
     param: str
     env: dict[str, Value]
@@ -114,6 +109,7 @@ def pretty_value(v: Value) -> str:
     raise TypeError(f"not a Value: {v!r}")
 
 
+@dataclass(slots=True)
 class Store:
     """Location-to-value map with a monotone allocation counter.
 
@@ -121,13 +117,12 @@ class Store:
     entries were removed.
     """
 
-    __slots__ = ("data", "next_loc")
+    data: dict[int, Value] = field(default_factory=dict)
+    next_loc: int = 0
 
-    def __init__(self, data: dict[int, Value] | None = None, next_loc: int = 0):
-        self.data = data if data is not None else {}
+    def __post_init__(self) -> None:
         if self.data:
-            next_loc = max(next_loc, max(self.data) + 1)
-        self.next_loc = next_loc
+            self.next_loc = max(self.next_loc, max(self.data) + 1)
 
     def copy(self) -> Store:
         return Store(dict(self.data), self.next_loc)
@@ -137,16 +132,6 @@ class Store:
         self.data[loc] = v
         self.next_loc = loc + 1
         return loc
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Store)
-            and self.data == other.data
-            and self.next_loc == other.next_loc
-        )
-
-    def __repr__(self) -> str:
-        return f"Store({self.data!r}, next_loc={self.next_loc})"
 
 
 @dataclass

@@ -11,30 +11,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 
-@dataclass(frozen=True, init=False)
-class Pos:
-    """1-based line/column where a node starts in the source text."""
-
-    # Slots named in the class body, not by `dataclass(slots=True)`, which
-    # would build a second class: the frozen `__setattr__` would close over
-    # the first and answer a new attribute with a TypeError. Without that
-    # call, dataclass writes no pickle support, so `__reduce__` gives it.
-    __slots__ = ("line", "col")
-    line: int
-    col: int
-
-    def __init__(self, line: int, col: int):
-        _set_line(self, line)
-        _set_col(self, col)
-
-    def __reduce__(self):
-        return Pos, (self.line, self.col)
-
-
-# The slots' own setters, without the frozen class's __setattr__ path.
-_set_line, _set_col = Pos.line.__set__, Pos.col.__set__
-
-
 # ---------------------------------------------------------------------------
 # Security types
 
@@ -161,34 +137,45 @@ class Expr:
     pos: Pos | None = field(default=None, compare=False, repr=False, kw_only=True)
 
 
-_set_pos = Expr.pos.__set__
-
-
-def _node(cls: type) -> type:
+def record(cls: type) -> type:
     """Make `cls`, whose body names its fields in `__slots__`, a frozen
-    dataclass. Its `__init__` takes the fields in order, then keyword-only
-    `pos`, and fills each slot through the slot's own setter, as `Pos` does.
-    Slots written in the class body, not `dataclass(slots=True)`, keep the
-    class the `class` statement made: that call would build a second class
-    and leave the first among `Expr.__subclasses__()`."""
+    dataclass: `Pos`, every `Expr` node and every runtime value are built here.
+    Its `__init__` takes the fields in order, then keyword-only `pos` for an
+    `Expr`, and fills each slot through the slot's own setter, not the frozen
+    `__setattr__`; for the same reason a record that is not an `Expr` pickles
+    by its fields (`Expr` has state methods from `dataclass(slots=True)`).
+    Slots are named in the class body because `dataclass(slots=True)` would
+    build a second class: its frozen `__setattr__` would answer a new
+    attribute with a TypeError, and the first class would stay among
+    `Expr.__subclasses__()`."""
     types = cls.__dict__.get("__annotations__", {})
-    scope = {f"_set_{n}": getattr(cls, n).__set__ for n in types}
-    scope["_set_pos"] = _set_pos
-    params = "".join(f"{n}: {t}, " for n, t in types.items())
-    body = "".join(f"    _set_{n}(self, {n})\n" for n in types)
+    node = issubclass(cls, Expr)
+    slots = [*types, "pos"] if node else list(types)
+    scope = {f"_set_{n}": getattr(cls, n).__set__ for n in slots}
+    params = "".join(f", {n}: {t}" for n, t in types.items())
+    if node:
+        params += ", *, pos: Pos | None = None"
+    else:
+        cls.__reduce__ = lambda self: (cls, tuple(getattr(self, n) for n in types))
+    body = "".join(f"    _set_{n}(self, {n})\n" for n in slots) or "    pass\n"
     # exec keeps this module's `from __future__ import annotations`, so the
     # annotations stay strings, as in the signature dataclass would write
-    exec(
-        f"def __init__(self, {params}*, pos: Pos | None = None):\n"
-        f"{body}    _set_pos(self, pos)\n",
-        scope,
-    )
+    exec(f"def __init__(self{params}):\n{body}", scope)
     cls.__init__ = scope["__init__"]
     cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
     return dataclass(frozen=True, init=False)(cls)
 
 
-@_node
+@record
+class Pos:
+    """1-based line/column where a node starts in the source text."""
+
+    __slots__ = ("line", "col")
+    line: int
+    col: int
+
+
+@record
 class Num(Expr):
     """Integer literal; the digits are kept as written."""
 
@@ -196,24 +183,24 @@ class Num(Expr):
     literal: str
 
 
-@_node
+@record
 class Bool(Expr):
     __slots__ = ("value",)
     value: bool
 
 
-@_node
+@record
 class Unit(Expr):
     __slots__ = ()
 
 
-@_node
+@record
 class Var(Expr):
     __slots__ = ("name",)
     name: str
 
 
-@_node
+@record
 class Bop(Expr):
     __slots__ = ("op", "lhs", "rhs")
     op: BinOp
@@ -221,7 +208,7 @@ class Bop(Expr):
     rhs: Expr
 
 
-@_node
+@record
 class Let(Expr):
     """let x = e, optionally with a base-level annotation: let x: high = e."""
 
@@ -231,7 +218,7 @@ class Let(Expr):
     rhs: Expr
 
 
-@_node
+@record
 class If(Expr):
     __slots__ = ("cond", "then", "orelse")
     cond: Expr
@@ -239,14 +226,14 @@ class If(Expr):
     orelse: Expr
 
 
-@_node
+@record
 class While(Expr):
     __slots__ = ("cond", "body")
     cond: Expr
     body: Expr
 
 
-@_node
+@record
 class For(Expr):
     """for x in e1 to e2 { e3 }; both bounds inclusive."""
 
@@ -257,14 +244,14 @@ class For(Expr):
     body: Expr
 
 
-@_node
+@record
 class Seq(Expr):
     __slots__ = ("first", "second")
     first: Expr
     second: Expr
 
 
-@_node
+@record
 class Func(Expr):
     """(x: t) => e; the parameter annotation is mandatory."""
 
@@ -274,26 +261,26 @@ class Func(Expr):
     body: Expr
 
 
-@_node
+@record
 class App(Expr):
     __slots__ = ("fn", "arg")
     fn: Expr
     arg: Expr
 
 
-@_node
+@record
 class Ref(Expr):
     __slots__ = ("inner",)
     inner: Expr
 
 
-@_node
+@record
 class Deref(Expr):
     __slots__ = ("name",)
     name: str
 
 
-@_node
+@record
 class Assign(Expr):
     __slots__ = ("name", "rhs")
     name: str

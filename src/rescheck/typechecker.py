@@ -194,7 +194,7 @@ class _Checker:
                 return LOW, LOW, {**env, x: ty}
             case RefType(inner=t1):  # rhs : ref t1 @ t2
                 frame.rule = "Let-Base-Ref"
-                if not is_base(t1):
+                if not is_base(t1):  # cannot fire: Ref and well-formed Γ give refs base inners
                     self.fail("Let-Base-Ref", "t1 ∈ {Low, High}", e)
                 t3 = meet([t2, t1])
                 if not leq(pc, t3):
@@ -262,7 +262,7 @@ class _Checker:
         if not well_formed(t1):
             self.fail("Func", "t1 well-formed", e)
         t2, t3, _ = self.check({**env, e.param: t1}, pc, e.body)
-        if not leq(pc, t3):
+        if not leq(pc, t3):  # cannot fire: the body is checked at pc, so pc ⊑ t3
             self.fail("Func", "t3 ⊒ pc", e)
         return FunType(t1, t2, t3), EMPTY, env
 
@@ -295,7 +295,7 @@ class _Checker:
         if not isinstance(t, RefType):
             self.fail("Reassign", "Γ(x) = ref t3", e)
         t3 = t.inner
-        if not is_base(t3):
+        if not is_base(t3):  # cannot fire: Γ stays well-formed, so its refs hold base levels
             self.fail("Reassign", "t3 ∈ {Low, High}", e)
         t1, t2, _ = self.check(env, pc, e.rhs)
         if not leq(t1, t3):

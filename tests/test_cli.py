@@ -80,6 +80,21 @@ class TestCheck:
         err = capsys.readouterr().err
         assert f"{path}: type error: (Reassign) requires t3 ⊒ t1 at 3:1" in err
 
+    def test_type_error_trace_human(self, tmp_path, monkeypatch, capsys):
+        # README's leak: the error line, then the path to the failing rule
+        monkeypatch.chdir(tmp_path)
+        Path("leak.resc").write_text(readme_block("text", "let out = ref(0)"))
+        assert main(["check", "--trace", "leak.resc"]) == EXIT_TYPE_ERROR
+        leak = "if secret < 10 { out := 1 } else { out := 0 }"
+        assert capsys.readouterr() == (
+            "",
+            "leak.resc: type error: (Reassign) requires t3 ⊒ pc at 3:18\n"
+            f"  (Seq) let secret: high = 7\nlet out = ref(0)\n{leak}  =>  None\n"
+            f"  (Seq) let out = ref(0)\n{leak}  =>  None\n"
+            f"  (If-Else) {leak}  =>  None\n"
+            "  (Reassign) out := 1  =>  failed: t3 ⊒ pc\n",
+        )
+
     def test_type_error_json_with_trace(self, src, capsys):
         assert main(["check", "--json", "--trace", src(HIGH_INTO_LOW)]) == EXIT_TYPE_ERROR
         got = json.loads(capsys.readouterr().out)

@@ -85,6 +85,15 @@ class TestClosures:
         c2 = ClosV(body, "x", {"a": IntV(2)})
         assert veq(c1, c2, FunType(LOW, LOW, EMPTY))
 
+    def test_bodies_with_different_capture_names_do_not_relate(self):
+        # "x" alone would relate: the captures are never read, only named
+        body = parse("x")
+        c1 = ClosV(body, "x", {"a": IntV(2)})
+        c2 = ClosV(body, "x", {"b": IntV(2)})
+        stats = EquivStats()
+        assert not veq(c1, c2, FunType(LOW, LOW, EMPTY), stats=stats)
+        assert stats.closure_pairs_sampled == 0
+
     def test_sampling_distinguishes_different_functions(self):
         c1 = ClosV(parse("x"), "x", {})
         c2 = ClosV(parse("x + 1"), "x", {})

@@ -208,6 +208,18 @@ class TestGenWelltyped:
                 prog = gen_welltyped(GenConfig(rng_seed=seed), tenv, pc, effect_clean=clean)
                 check(dict(tenv), pc, prog)  # must not raise
 
+    def test_names_without_a_shape_prefix_take_the_type_fallbacks(self):
+        # no prefix: a ref holds an int, a function gets a closure, the rest are ints
+        tenv = {"x": LOW, "r": RefType(HIGH), "g": FunType(LOW, LOW, EMPTY)}
+        for seed in range(200):
+            cfg = GenConfig(rng_seed=seed)
+            s1, _ = gen_lowequiv_states(cfg, tenv)
+            assert isinstance(s1.env["x"], IntV) and isinstance(s1.env["g"], ClosV)
+            assert isinstance(s1.store.data[s1.env["r"].loc], IntV)
+            for suite in harness._SUITE_TABLE.values():
+                prog = gen_welltyped(cfg, tenv, suite.pc, effect_clean=suite.effect_clean)
+                check(dict(tenv), suite.pc, prog)  # must not raise
+
 
 class TestContextIsTheOutEnv:
     """The generator's context is Γ: after a program, it is the checker's

@@ -55,7 +55,9 @@ class TestValues:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(v, field, 0)
 
-    @pytest.mark.parametrize("v", [IntV(3), BoolV(True)], ids=repr)
+    @pytest.mark.parametrize(
+        "v", [IntV(3), BoolV(True), LocV(0), ClosV(parse("x"), "x", {"y": IntV(1)})], ids=repr
+    )
     def test_values_are_slotted_and_reject_new_attributes(self, v):
         assert not hasattr(v, "__dict__")
         field = dataclasses.fields(v)[0].name
@@ -66,6 +68,13 @@ class TestValues:
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             got = pickle.loads(pickle.dumps(v, protocol))
             assert type(got) is type(v) and got == v
+
+    def test_unit_value_is_slotted_and_rejects_new_attributes(self):
+        assert not hasattr(UnitV(), "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            UnitV().other = 1
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(UnitV(), protocol)) == UnitV()
 
     def test_values_compare_and_hash_by_value(self):
         assert IntV(10**30) == IntV(10**30) and hash(IntV(7)) == hash(IntV(7))
@@ -310,6 +319,14 @@ class TestFuel:
         src = "for i in 1 to 3 { 0 }"
         assert isinstance(run(src, fuel=12), Ok)
         assert isinstance(run(src, fuel=11), FuelExhausted)
+
+    def test_for_charges_the_whole_unfolding_before_the_body(self):
+        # for + 2 bounds + 3 * 100 = 303 before the first `1 / 0`, which costs 3
+        src = "for i in 0 to 100 { 1 / 0 }"
+        assert isinstance(run(src, fuel=302), FuelExhausted)  # the unfolding does not fit
+        assert isinstance(run(src, fuel=305), FuelExhausted)
+        fault = RuntimeFault(FaultKind.DIV_BY_ZERO, syntax.Pos(1, 21))
+        assert run(src, fuel=306) == run(src, fuel=1000) == fault
 
     def test_zero_and_negative_fuel(self):
         assert isinstance(run("1", fuel=0), FuelExhausted)

@@ -2,26 +2,34 @@
 
 import dataclasses
 import pickle
+import random
 
 import pytest
 
+import astgen
 from rescheck import (
     EMPTY,
     HIGH,
     LOW,
     CheckError,
     FunType,
+    GenConfig,
     Judgment,
     RefType,
     check,
     check_program,
     error_json,
+    gen_tenv,
+    gen_welltyped,
     judgment_json,
+    leq,
     parse,
+    pretty,
     syntax,
     trace_check,
     typechecker,
 )
+from rescheck.harness import _SUITE_TABLE
 
 
 def chk(src, env=None, pc=LOW):
@@ -513,3 +521,45 @@ class TestOneJudgmentPerCheck:
         with pytest.raises(CheckError):
             check({}, LOW, parse(self.SOURCE + "\nr := h"))
         assert built == []
+
+
+class TestConfinement:
+    """Every accepted judgment Γ, pc ⊢ e : t @ eff has pc ⊑ eff: each rule
+    that writes checks its level against pc, and every other rule meets its
+    premises' effects. So three of the paper's premises cannot fail: `Func`'s
+    body is checked at the same pc, and a well-formed Γ, with `Ref` and
+    `Func` checking their own types, gives every ref type a base inner."""
+
+    UNFIREABLE = {
+        ("Func", "t3 ⊒ pc"),
+        ("Let-Base-Ref", "t1 ∈ {Low, High}"),
+        ("Reassign", "t3 ∈ {Low, High}"),
+    }
+
+    def test_random_trees_under_random_environments(self):
+        rng, accepted = random.Random(2024), {LOW: 0, HIGH: 0}
+        for _ in range(20_000):
+            env = {}
+            for name in rng.sample(astgen._NAMES, rng.randint(0, len(astgen._NAMES))):
+                t = astgen.gen_type(rng)
+                if syntax.well_formed(t):
+                    env[name] = t
+            e = astgen.gen_expr(rng, rng.randint(0, 5))
+            for pc in (LOW, HIGH):
+                try:
+                    j = check(env, pc, e)
+                except CheckError as err:
+                    assert (err.rule, err.condition) not in self.UNFIREABLE, pretty(e)
+                    continue
+                accepted[pc] += 1
+                assert leq(pc, j.effect), (pc, pretty(e))
+        assert min(accepted.values()) > 5_000
+
+    @pytest.mark.parametrize("suite", list(_SUITE_TABLE))
+    def test_generated_programs(self, suite):
+        pc, clean = _SUITE_TABLE[suite].pc, _SUITE_TABLE[suite].effect_clean
+        for seed in range(250):
+            cfg = GenConfig(rng_seed=seed)
+            tenv = gen_tenv(cfg)
+            j = check(tenv, pc, gen_welltyped(cfg, tenv, pc, effect_clean=clean))
+            assert leq(pc, j.effect)
