@@ -100,8 +100,10 @@ def ast_json(e: Expr) -> dict:
 
 
 def _print_trace(frames: list[TraceFrame], out) -> None:
+    """One line per frame; a rule still in progress has no result."""
     for frame in frames:
-        print(f"  ({frame.rule}) {frame.expr}  =>  {frame.result}", file=out)
+        result = "" if (r := frame.result) is None else f"  =>  {r}"
+        print(f"  ({frame.rule}) {frame.expr}{result}", file=out)
 
 
 def cmd_check(args: argparse.Namespace) -> int:

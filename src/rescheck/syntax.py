@@ -448,10 +448,9 @@ def pretty_line(e: Expr, memo: dict[int, str]) -> str:
 def pretty(e: Expr, memo: dict[int, str] | None = None) -> str:
     """Render an expression as parseable source.
 
-    Top-level sequences print one statement per line; nested sequences use
-    semicolons. parse(pretty(e)) reconstructs e exactly (positions aside).
-    For every `Seq(first, second)`, `pretty(second)` is the suffix of
-    `pretty(Seq)` that follows `pretty_line(first)` and one newline.
+    Top-level sequences print one statement per line, each line being the
+    statement's `pretty_line`; nested sequences use semicolons.
+    parse(pretty(e)) reconstructs e exactly (positions aside).
 
     `memo` maps `id(node)` to the node's text, so a caller that renders many
     subtrees of one tree, such as the type checker writing a trace frame for

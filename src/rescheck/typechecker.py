@@ -8,13 +8,13 @@ dispatch, and anything else raises TypeError. A rule concludes with the
 paper's triple (t, eff, Γ′): the expression's type, its write effect and the
 updated type environment, as a plain tuple that the rule over it unpacks
 into the names its side conditions quote. One check returns one `Judgment`,
-built from the root's triple. Every rule application logs a frame with its
-node's `pretty` text. One memo per check holds each node's text: the root's
-frame renders the whole tree into it, a node at a time, and each later frame
-is one lookup in it, except that a chain of statements joins its statements'
-texts and the frames down the chain slice that text. Failures raise
-CheckError with the rule name, the side condition that failed, the source
-position and the derivation path from the root to the failing rule.
+built from the root's triple. Every rule application logs a one-line frame:
+its node's `pretty` text, or a chain link's own statement as `stmt; …`, so a
+trace grows linearly with the program. One memo per check holds each node's
+text, so a node is rendered once and each later frame is one lookup.
+Failures raise CheckError with the rule name, the side condition that
+failed, the source position and the derivation path from the root to the
+failing rule.
 """
 
 from __future__ import annotations
@@ -79,21 +79,16 @@ class Judgment:
 class TraceFrame:
     """One rule application: which rule, on what, and how it came out.
 
-    The expression's source text is `text[start:]`, sliced only when `expr`
-    is read: the frames down a chain of statements share one `text`. A frame
+    `expr` is one line of source text: the node's `pretty` text, or for a
+    link of a chain of statements its first statement and `; …`. A frame
     keeps the judgment's type and effect, not its environment, and renders
     them only when `result` is read.
     """
 
     rule: str
-    text: str
-    start: int = 0
+    expr: str
     judged: tuple[SecType, SecType] | None = None  # set when the rule holds
     failed: str | None = None  # the side condition that failed
-
-    @property
-    def expr(self) -> str:
-        return self.text[self.start:] if self.start else self.text
 
     @property
     def result(self) -> str | None:
@@ -136,7 +131,9 @@ class _Checker:
         raise CheckError(rule, condition, e.pos, path)
 
     def check(self, env: TEnv, pc: SecType, e: Expr) -> Judged:
-        """Apply e's rule under a new frame."""
+        """Apply e's rule under a new frame; a chain makes its own frames."""
+        if type(e) is Seq:
+            return self._seq(env, pc, e)
         try:
             name, rule = _RULES[type(e)]
         except KeyError:
@@ -237,21 +234,18 @@ class _Checker:
         _, t6, _ = self.check({**env, e.var: pc2}, pc2, e.body)
         return LOW, meet([t2, t4, t6]), env
 
-    def _seq(self, frame: TraceFrame, env: TEnv, pc: SecType, e: Seq) -> Judged:
-        """Down a chain of statements each link's frame is pushed and its
-        `first` checked in turn; the chain's frames share one text, and are
-        judged from the last statement back."""
+    def _seq(self, env: TEnv, pc: SecType, e: Seq) -> Judged:
+        """Down a chain of statements each link's frame, which shows its
+        `first`, is pushed and that statement checked in turn; then the last
+        statement is checked, and the links are judged from it back."""
         spine = []  # each link's frame, with its `first`'s effect
         while type(e) is Seq:
+            frame = TraceFrame("Seq", pretty_line(e.first, self.text) + "; …")
+            self.log.append(frame)
             _, first_eff, env = self.check(env, pc, e.first)
             spine.append((frame, first_eff))
-            start = frame.start + len(pretty_line(e.first, self.text)) + 1
             e = e.second
-            name, rule = _RULES[type(e)]  # an Expr: pretty has rendered the whole chain
-            frame = TraceFrame(name, frame.text, start)
-            self.log.append(frame)
-        t, eff, env = rule(self, frame, env, pc, e)
-        frame.judged = t, eff
+        t, eff, env = self.check(env, pc, e)
         for link, first_eff in reversed(spine):
             eff = meet([first_eff, eff])
             link.judged = t, eff
@@ -307,6 +301,7 @@ class _Checker:
 
 # Each Expr class's rule name and rule: class Num has "Num" and method _num,
 # and so on. A `Let` frame's name is refined to Let-n / Let-Base* by its rule.
+# `check` hands a `Seq` to `_seq` before it makes a frame.
 _RULES = {
     cls: (name, getattr(_Checker, "_" + cls.__name__.lower()))
     for cls, name in (

@@ -89,9 +89,9 @@ class TestCheck:
         assert capsys.readouterr() == (
             "",
             "leak.resc: type error: (Reassign) requires t3 ⊒ pc at 3:18\n"
-            f"  (Seq) let secret: high = 7\nlet out = ref(0)\n{leak}  =>  None\n"
-            f"  (Seq) let out = ref(0)\n{leak}  =>  None\n"
-            f"  (If-Else) {leak}  =>  None\n"
+            "  (Seq) let secret: high = 7; …\n"
+            "  (Seq) let out = ref(0); …\n"
+            f"  (If-Else) {leak}\n"
             "  (Reassign) out := 1  =>  failed: t3 ⊒ pc\n",
         )
 
@@ -259,7 +259,9 @@ class TestLongChains:
     """Statement chains are walked with loops, so their length is bounded by
     no recursion limit, and the evaluator runs a whole chain one level deep."""
 
-    @pytest.mark.parametrize("args", [["check"], ["check", "--json"]])
+    @pytest.mark.parametrize(
+        "args", [["check"], ["check", "--json"], ["check", "--trace"], ["check", "--json", "--trace"]]
+    )
     def test_ten_thousand_statements_check(self, src, capsys, args):
         path = src(straight_line(10_000))
         started = time.perf_counter()
@@ -267,6 +269,14 @@ class TestLongChains:
         took = time.perf_counter() - started
         assert took < 5.0, f"{args} took {took:.2f}s, budget 5s"
         assert "ok" in capsys.readouterr().out
+
+    def test_trace_grows_linearly(self, src, capsys):
+        # A chain frame shows its own statement, not the rest of the chain.
+        sizes = []
+        for n in (1000, 2000):
+            assert main(["check", "--json", "--trace", src(straight_line(n), f"s{n}.resc")]) == EXIT_OK
+            sizes.append(len(capsys.readouterr().out.encode()))
+        assert sizes[1] <= 2.1 * sizes[0], sizes
 
     @pytest.mark.parametrize(
         "args", [["parse"], ["check"], ["check", "--trace"], ["run"]], ids=" ".join

@@ -1,14 +1,22 @@
-"""The checker's trace text: each node rendered once per check, same text.
+"""The checker's trace text: one line per frame, each node rendered once.
 
-Every rule application records its expression as source text. The checker
-passes one memo per check to `pretty`, so a node's text is built once and
-reused by every ancestor's frame instead of being rebuilt for each of them.
-A sequence's `second` is not printed at all: its frame slices the text of
-the sequence's own frame. These tests pin both halves: the number of
-renders and `pretty` calls, and that the text is exactly what `pretty`
-without a memo gives.
+Every rule application records its expression as one line of source text:
+the node's `pretty` text, or for a link of a chain of statements only its
+first statement, as `pretty_line(first) + "; …"`. The checker passes one
+memo per check to `pretty`, so a node's text is built once and reused by
+every later frame that shows it instead of being rebuilt for each of them.
+These tests pin both halves: the number of renders and `pretty` calls, and
+that the text is exactly what `pretty` and `pretty_line` without a memo give.
+
+`check_trace_golden.json` holds `check --json --trace` on each corpus file:
+its exit code and its stdout. It is written by running this module as a
+script:
+
+    PYTHONPATH=src:tests python tests/test_trace_text.py
 """
 
+import contextlib
+import io
 import json
 import random
 from collections import Counter
@@ -17,10 +25,10 @@ from pathlib import Path
 
 import pytest
 
-from rescheck import LOW, App, Expr, Seq, parse, syntax, trace_check, typechecker
+from rescheck import LOW, App, CheckError, Expr, Seq, parse, syntax, trace_check, typechecker
 from rescheck.cli import main
 from rescheck.harness import default_corpus_dir
-from rescheck.syntax import pretty
+from rescheck.syntax import pretty, pretty_line
 
 import astgen
 
@@ -106,10 +114,17 @@ PROGRAMS = {
 }
 
 
+CORPUS = sorted(p.name for p in default_corpus_dir().glob("*.resc"))
+
+
 def sequence_tails(e: Expr) -> set[int]:
-    """The ids of the nodes that are some Seq's `second`: their frames take
-    their text as a slice of the Seq frame's text."""
+    """The ids of the nodes that are some Seq's `second`."""
     return {id(s.second) for s in preorder(e) if isinstance(s, Seq)}
+
+
+def frame_text(e: Expr) -> str:
+    """The text of e's trace frame, rendered without a memo."""
+    return pretty_line(e.first, {}) + "; …" if isinstance(e, Seq) else pretty(e)
 
 
 @pytest.mark.parametrize("name", PROGRAMS)
@@ -149,22 +164,24 @@ def test_frame_text_equals_pretty_without_memo(name, monkeypatch):
     monkeypatch.setattr(typechecker, "pretty", spy)
     _, log = trace_check({}, LOW, tree)
     nodes = list(preorder(tree))
-    assert [f.expr for f in log] == [pretty(e) for e in nodes]
-    tails = sequence_tails(tree)
-    assert len(seen) == len(log) - len(tails)
-    assert [id(e) for e in seen] == [id(e) for e in nodes if id(e) not in tails]
+    assert [f.expr for f in log] == [frame_text(e) for e in nodes]
+    assert [id(e) for e in seen] == [id(e) for e in nodes if not isinstance(e, Seq)]
 
 
-@pytest.mark.parametrize("name", PROGRAMS)
-def test_sequence_tail_frames_share_one_text(name):
-    tree = PROGRAMS[name]()
-    _, log = trace_check({}, LOW, tree)
-    frame = {id(e): f for e, f in zip(preorder(tree), log, strict=True)}
-    seqs = [e for e in preorder(tree) if isinstance(e, Seq)]
-    assert seqs
-    for s in seqs:
-        assert frame[id(s.second)].text is frame[id(s)].text
-        assert frame[id(s.second)].start > frame[id(s)].start
+@pytest.mark.parametrize("name", [*PROGRAMS, *CORPUS])
+def test_every_frame_is_one_line(name):
+    if name in PROGRAMS:
+        tree = PROGRAMS[name]()
+    else:
+        tree = parse((default_corpus_dir() / name).read_text())
+    try:
+        _, log = trace_check({}, LOW, tree)
+    except CheckError as err:
+        log = err.trace
+    assert log
+    for f in log:
+        assert "\n" not in f.expr, f
+        assert f.expr.endswith("; …") == (f.rule == "Seq"), f
 
 
 @pytest.mark.parametrize("n", [200, 400])
@@ -198,11 +215,21 @@ def test_memo_gives_the_same_text_for_every_subtree():
     assert len(kinds) == 15
 
 
+def golden_rows() -> dict:
+    """Each corpus file's `check --json --trace` exit code and stdout."""
+    rows = {}
+    for name in CORPUS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["check", "--json", "--trace", str(default_corpus_dir() / name)])
+        rows[name] = {"exit": code, "stdout": out.getvalue()}
+    return rows
+
+
 def test_check_json_trace_matches_golden(capsys):
-    golden = json.loads(GOLDEN.read_text())
-    corpus = sorted(p.name for p in default_corpus_dir().glob("*.resc"))
-    assert corpus == sorted(golden)
-    for name in corpus:
-        code = main(["check", "--json", "--trace", str(default_corpus_dir() / name)])
-        out = capsys.readouterr()
-        assert (code, out.out, out.err) == (golden[name]["exit"], golden[name]["stdout"], ""), name
+    assert golden_rows() == json.loads(GOLDEN.read_text())
+    assert capsys.readouterr() == ("", "")
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(golden_rows(), indent=1, ensure_ascii=False) + "\n")
