@@ -40,7 +40,9 @@ EXIT_USAGE = 2  # a bad command line or environment: argparse exits 2 for its ow
 
 
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj, ensure_ascii=False, indent=2))
+    # written as it is encoded, so a large report is never one string
+    json.dump(obj, sys.stdout, ensure_ascii=False, indent=2)
+    sys.stdout.write("\n")
 
 
 def _parse_source(path: str, as_json: bool):

@@ -43,15 +43,14 @@ from .syntax import (
 
 class Value:
     __slots__ = ()
+    __init_subclass__ = record
 
 
-@record
 class IntV(Value):
     __slots__ = ("n",)
     n: int
 
 
-@record
 class BoolV(Value):
     __slots__ = ("b",)
     b: bool
@@ -60,18 +59,15 @@ class BoolV(Value):
 _BOOL = (BoolV(False), BoolV(True)).__getitem__  # a bool to one of two shared BoolVs
 
 
-@record
 class UnitV(Value):
     __slots__ = ()
 
 
-@record
 class LocV(Value):
     __slots__ = ("loc",)
     loc: int
 
 
-@record
 class ClosV(Value):
     """A closure: the body, the parameter name and the defining environment."""
 

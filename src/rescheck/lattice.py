@@ -43,46 +43,36 @@ def leq(a: SecType, b: SecType) -> bool:
     return ra is not None and rb is not None and ra <= rb
 
 
-def _join2(a: SecType, b: SecType) -> SecType:
-    ra, rb = _RANK.get(type(a)), _RANK.get(type(b))
-    if ra is not None and rb is not None:  # two levels: what leq decides, without the calls
-        return b if ra <= rb else a
-    if leq(a, b):
-        return b
-    if leq(b, a):
-        return a
-    raise LatticeError("Incomparable", (a, b))
-
-
-def _meet2(a: SecType, b: SecType) -> SecType:
-    ra, rb = _RANK.get(type(a)), _RANK.get(type(b))
-    if ra is not None and rb is not None:
-        return a if ra <= rb else b
-    if leq(a, b):
-        return a
-    if leq(b, a):
-        return b
-    raise LatticeError("Incomparable", (a, b))
+def _bound(ts: Sequence[SecType], kind: str, upper: bool) -> SecType:
+    """Fold `ts` from the left, keeping the upper (join) or the lower (meet)
+    of each pair. Of two levels of equal rank, join keeps the right one and
+    meet the left."""
+    if not ts:
+        raise ValueError(f"{kind} of empty list")
+    acc = ts[0]
+    for t in ts[1:]:
+        ra, rb = _RANK.get(type(acc)), _RANK.get(type(t))
+        if ra is not None and rb is not None:  # two levels: what leq decides, without the calls
+            rising = ra <= rb
+        elif leq(acc, t):
+            rising = True
+        elif leq(t, acc):
+            rising = False
+        else:
+            raise LatticeError("Incomparable", (acc, t))
+        if rising == upper:  # join keeps t when acc <= t, meet when t < acc
+            acc = t
+    return acc
 
 
 def join(ts: Sequence[SecType]) -> SecType:
     """Least upper bound of a non-empty list of types."""
-    if not ts:
-        raise ValueError("join of empty list")
-    acc = ts[0]
-    for t in ts[1:]:
-        acc = _join2(acc, t)
-    return acc
+    return _bound(ts, "join", True)
 
 
 def meet(ts: Sequence[SecType]) -> SecType:
     """Greatest lower bound of a non-empty list of types."""
-    if not ts:
-        raise ValueError("meet of empty list")
-    acc = ts[0]
-    for t in ts[1:]:
-        acc = _meet2(acc, t)
-    return acc
+    return _bound(ts, "meet", False)
 
 
 def enumerate_types(depth: int) -> list[SecType]:

@@ -11,6 +11,37 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 
+def record(cls: type) -> type:
+    """Make `cls`, whose body names its fields in `__slots__`, a frozen
+    dataclass with no `__dict__`. `Pos` is decorated with it; `SecType`,
+    `Expr` and `Value` set it as their `__init_subclass__`, so every
+    security type, node and runtime value is built here when its class is
+    made. Its `__init__` takes the fields in order, then keyword-only `pos`
+    for a node (a class that inherits `Expr`'s `pos` field), and fills each
+    slot through the slot's own setter, not the frozen `__setattr__`; for the
+    same reason a record that is not a node pickles by its fields (`Expr` has
+    state methods from `dataclass(slots=True)`). Slots are named in the class
+    body because `dataclass(slots=True)` would build a second class: its
+    frozen `__setattr__` would answer a new attribute with a TypeError, and
+    the first class would stay among its base's `__subclasses__()`."""
+    types = cls.__dict__.get("__annotations__", {})
+    node = "pos" in getattr(cls, "__dataclass_fields__", ())
+    slots = [*types, "pos"] if node else list(types)
+    scope = {f"_set_{n}": getattr(cls, n).__set__ for n in slots}
+    params = "".join(f", {n}: {t}" for n, t in types.items())
+    if node:
+        params += ", *, pos: Pos | None = None"
+    else:
+        cls.__reduce__ = lambda self: (cls, tuple(getattr(self, n) for n in types))
+    body = "".join(f"    _set_{n}(self, {n})\n" for n in slots) or "    pass\n"
+    # exec keeps this module's `from __future__ import annotations`, so the
+    # annotations stay strings, as in the signature dataclass would write
+    exec(f"def __init__(self{params}):\n{body}", scope)
+    cls.__init__ = scope["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return dataclass(frozen=True, init=False)(cls)
+
+
 # ---------------------------------------------------------------------------
 # Security types
 
@@ -19,6 +50,7 @@ class SecType:
     """Base class for security types: low, high, (), ref t, (t -> t @ t)."""
 
     __slots__ = ()
+    __init_subclass__ = record
 
 
 # The three levels have no fields, so the dataclass hash would give each of
@@ -27,33 +59,36 @@ class SecType:
 # own integer. Integers, unlike strings, hash the same in every process.
 
 
-@dataclass(frozen=True)
 class Low(SecType):
+    __slots__ = ()
+
     def __hash__(self) -> int:
         return 1
 
 
-@dataclass(frozen=True)
 class High(SecType):
+    __slots__ = ()
+
     def __hash__(self) -> int:
         return 2
 
 
-@dataclass(frozen=True)
 class Empty(SecType):
     """The absence of a write effect, written ()."""
+
+    __slots__ = ()
 
     def __hash__(self) -> int:
         return 3
 
 
-@dataclass(frozen=True)
 class RefType(SecType):
+    __slots__ = ("inner",)
     inner: SecType
 
 
-@dataclass(frozen=True)
 class FunType(SecType):
+    __slots__ = ("param", "result", "latent")
     param: SecType
     result: SecType
     latent: SecType  # effect the body may perform when applied
@@ -135,35 +170,7 @@ class BinOp(Enum):
 @dataclass(frozen=True, slots=True)
 class Expr:
     pos: Pos | None = field(default=None, compare=False, repr=False, kw_only=True)
-
-
-def record(cls: type) -> type:
-    """Make `cls`, whose body names its fields in `__slots__`, a frozen
-    dataclass: `Pos`, every `Expr` node and every runtime value are built here.
-    Its `__init__` takes the fields in order, then keyword-only `pos` for an
-    `Expr`, and fills each slot through the slot's own setter, not the frozen
-    `__setattr__`; for the same reason a record that is not an `Expr` pickles
-    by its fields (`Expr` has state methods from `dataclass(slots=True)`).
-    Slots are named in the class body because `dataclass(slots=True)` would
-    build a second class: its frozen `__setattr__` would answer a new
-    attribute with a TypeError, and the first class would stay among
-    `Expr.__subclasses__()`."""
-    types = cls.__dict__.get("__annotations__", {})
-    node = issubclass(cls, Expr)
-    slots = [*types, "pos"] if node else list(types)
-    scope = {f"_set_{n}": getattr(cls, n).__set__ for n in slots}
-    params = "".join(f", {n}: {t}" for n, t in types.items())
-    if node:
-        params += ", *, pos: Pos | None = None"
-    else:
-        cls.__reduce__ = lambda self: (cls, tuple(getattr(self, n) for n in types))
-    body = "".join(f"    _set_{n}(self, {n})\n" for n in slots) or "    pass\n"
-    # exec keeps this module's `from __future__ import annotations`, so the
-    # annotations stay strings, as in the signature dataclass would write
-    exec(f"def __init__(self{params}):\n{body}", scope)
-    cls.__init__ = scope["__init__"]
-    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
-    return dataclass(frozen=True, init=False)(cls)
+    __init_subclass__ = record
 
 
 @record
@@ -175,7 +182,6 @@ class Pos:
     col: int
 
 
-@record
 class Num(Expr):
     """Integer literal; the digits are kept as written."""
 
@@ -183,24 +189,20 @@ class Num(Expr):
     literal: str
 
 
-@record
 class Bool(Expr):
     __slots__ = ("value",)
     value: bool
 
 
-@record
 class Unit(Expr):
     __slots__ = ()
 
 
-@record
 class Var(Expr):
     __slots__ = ("name",)
     name: str
 
 
-@record
 class Bop(Expr):
     __slots__ = ("op", "lhs", "rhs")
     op: BinOp
@@ -208,7 +210,6 @@ class Bop(Expr):
     rhs: Expr
 
 
-@record
 class Let(Expr):
     """let x = e, optionally with a base-level annotation: let x: high = e."""
 
@@ -218,7 +219,6 @@ class Let(Expr):
     rhs: Expr
 
 
-@record
 class If(Expr):
     __slots__ = ("cond", "then", "orelse")
     cond: Expr
@@ -226,14 +226,12 @@ class If(Expr):
     orelse: Expr
 
 
-@record
 class While(Expr):
     __slots__ = ("cond", "body")
     cond: Expr
     body: Expr
 
 
-@record
 class For(Expr):
     """for x in e1 to e2 { e3 }; both bounds inclusive."""
 
@@ -244,14 +242,12 @@ class For(Expr):
     body: Expr
 
 
-@record
 class Seq(Expr):
     __slots__ = ("first", "second")
     first: Expr
     second: Expr
 
 
-@record
 class Func(Expr):
     """(x: t) => e; the parameter annotation is mandatory."""
 
@@ -261,26 +257,22 @@ class Func(Expr):
     body: Expr
 
 
-@record
 class App(Expr):
     __slots__ = ("fn", "arg")
     fn: Expr
     arg: Expr
 
 
-@record
 class Ref(Expr):
     __slots__ = ("inner",)
     inner: Expr
 
 
-@record
 class Deref(Expr):
     __slots__ = ("name",)
     name: str
 
 
-@record
 class Assign(Expr):
     __slots__ = ("name", "rhs")
     name: str

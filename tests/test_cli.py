@@ -574,7 +574,16 @@ class TestCounts:
 class TestClosedStdout:
     """A reader that stops early ends the command with exit 3, not a traceback."""
 
-    @pytest.mark.parametrize("args", [["parse"], ["check", "--trace"]], ids=" ".join)
+    # how the first line each command writes starts
+    FIRST_LINE = {
+        "parse": b"let r = ref(0)",
+        "check --trace": b"ok: Low @ Low",
+        "check --json --trace": b"{\n",
+    }
+
+    @pytest.mark.parametrize(
+        "args", [["parse"], ["check", "--trace"], ["check", "--json", "--trace"]], ids=" ".join
+    )
     def test_closed_pipe_after_one_line(self, src, args):
         path = src(straight_line(10_000))
         env = {**os.environ, "PYTHONPATH": _SRC}
@@ -587,7 +596,7 @@ class TestClosedStdout:
         err = proc.stderr.read().decode()
         proc.stderr.close()
         assert proc.wait(timeout=60) == EXIT_IO_ERROR == 3
-        assert first.startswith(b"let r = ref(0)" if args == ["parse"] else b"ok: Low @ Low")
+        assert first.startswith(self.FIRST_LINE[" ".join(args)])
         assert err == ""  # no traceback
 
 

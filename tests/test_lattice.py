@@ -125,6 +125,36 @@ class TestJoinMeet:
             assert got(join, a, b) is by_leq(a, b, upper=True), (a, b)
             assert got(meet, a, b) is by_leq(a, b, upper=False), (a, b)
 
+    def test_triples_fold_the_pairwise_reference(self):
+        """The checker folds three types (`join([t1, t3, t5])`). Over every
+        triple of the depth-1 universe, join and meet give the operand that a
+        left fold of leq's pairwise choice gives, or raise the LatticeError
+        that names the pair where that fold stops."""
+
+        def by_leq(ts, upper):
+            acc = ts[0]
+            for t in ts[1:]:
+                if leq(acc, t):
+                    acc = t if upper else acc
+                elif leq(t, acc):
+                    acc = acc if upper else t
+                else:
+                    return [acc, t]
+            return [acc]
+
+        def got(f, ts):
+            try:
+                return [f(ts)]
+            except LatticeError as err:
+                return list(err.operands)
+
+        d1 = enumerate_types(1)
+        for ts in ([a, b, c] for a in d1 for b in d1 for c in d1):
+            for f, upper in ((join, True), (meet, False)):
+                want, have = by_leq(ts, upper), got(f, ts)
+                assert len(have) == len(want), (f.__name__, ts)
+                assert all(x is y for x, y in zip(have, want)), (f.__name__, ts)
+
     def test_function_joins_through_comparability(self):
         f_small = FunType(LOW, HIGH, EMPTY)
         f_big = FunType(HIGH, LOW, EMPTY)

@@ -45,7 +45,8 @@ from rescheck import (
     well_formed,
 )
 from rescheck import syntax
-from rescheck.syntax import Expr, Func, sequence
+from rescheck.interpreter import Value
+from rescheck.syntax import Expr, Func, SecType, sequence
 
 
 class TestLevels:
@@ -242,6 +243,33 @@ class TestSlottedNodes:
             got = pickle.loads(pickle.dumps(moved, protocol))
             assert type(got) is type(e)
             assert got == e and got.pos == Pos(9, 4)
+
+
+# Every frozen value of the language: positions, nodes, security types and
+# runtime values.
+RECORDS = [Pos, *Expr.__subclasses__(), *SecType.__subclasses__(), *Value.__subclasses__()]
+
+TYPES = [LOW, HIGH, EMPTY, RefType(HIGH), FunType(LOW, HIGH, EMPTY)]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    def test_every_record_is_built_by_record(self, cls):
+        assert dataclasses.is_dataclass(cls)
+        assert "__slots__" in cls.__dict__
+        assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+
+    @pytest.mark.parametrize("t", TYPES, ids=lambda t: type(t).__name__)
+    def test_type_is_frozen_slotted_and_pickles(self, t):
+        assert not hasattr(t, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.other = 1
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            got = pickle.loads(pickle.dumps(t, protocol))
+            assert type(got) is type(t) and got == t and hash(got) == hash(t)
+
+    def test_levels_hash_to_their_own_integers(self):
+        assert [hash(LOW), hash(HIGH), hash(EMPTY)] == [1, 2, 3]
 
 
 class TestPretty:
