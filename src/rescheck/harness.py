@@ -792,6 +792,9 @@ def run_corpus(corpus_dir: str | Path | None = None) -> CorpusReport:
             continue
         try:
             ast = parse(path.read_bytes())
+        except OSError:
+            rows.append(CorpusRow(name, want_verdict, want_rule, "unreadable", None, False))
+            continue
         except ParseError:
             rows.append(CorpusRow(name, want_verdict, want_rule, "parse-error", None, False))
             continue

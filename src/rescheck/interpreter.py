@@ -8,19 +8,19 @@ variable in its own copy, a closure captures a copy), which keeps the
 caller's state intact; evaluating the same expression from equal states is
 fully deterministic.
 
-A run compiles each node it reaches, once, into a closure `code(env) ->
-value`: one Python call per rule application. `_RULES` maps each `Expr`
-class to the `_Evaluator` method that compiles it, and anything else raises
-TypeError when compiled. Only a statement chain threads an env, in one loop
-down its `Seq` spine. An `If` branch is compiled when first taken, and a
-closure body at its first application.
+A run compiles each node it reaches into a closure `code(env) -> value`:
+one Python call per rule application. `_RULES` maps each `Expr` class to the
+`_Evaluator` method that compiles it, and anything else raises TypeError
+when compiled. Only a statement chain threads an env, in one loop down its
+`Seq` spine. An `If` branch is compiled when first taken, and a closure body
+below each application node, the first time that node applies it.
 
 Nesting depth is its own outcome. Evaluation that nests deeper than
 `_MAX_DEPTH` rule applications ends in DepthExceeded, not FuelExhausted:
 running out of budget and running out of stack are different diagnoses. Fuel
-is checked first. A chain's statements all run one level below it. Compiling
-recurses too, so it stops at the same depth: a node `_MAX_DEPTH` levels down
-can only run that deep, and compiles to a stop.
+is checked first. A chain's statements all run one level below it. Each node
+is compiled at the depth it runs at, so depth is checked once, when it is
+compiled: a node `_MAX_DEPTH` levels down compiles to a stop.
 """
 
 from __future__ import annotations
@@ -216,22 +216,20 @@ _OPS = {
 class _Evaluator:
     """One run's store and fuel, and the compiler of its code.
 
-    The program and each closure body are compile roots. A node `level` levels
-    below its root runs nested `base + level` deep, where `base` is how deep
-    the running root was entered, so its code checks `base` against a limit
-    fixed when it is compiled. Only an application moves `base`.
+    A node is compiled at its level, the depth it runs at: the program at 0,
+    each child one below its parent, and a closure body one below the
+    application that calls it. So only `compile` checks depth, and code never
+    does.
 
-    Each code starts with the same charge: the run stops when fuel is out or
-    the node is too deep, and one fuel is taken.
+    Each code starts with the same charge: the run stops when fuel is out, and
+    one fuel is taken.
     """
 
-    __slots__ = ("store", "fuel", "base", "bodies", "env")
+    __slots__ = ("store", "fuel", "env")
 
     def __init__(self, store: Store, fuel: int):
         self.store = store
         self.fuel = fuel
-        self.base = 0
-        self.bodies: dict[int, Code] = {}  # each closure body compiled, by id
         self.env: Env = {}  # the env the last `let` or statement chain to finish left
 
     def stop(self, env: Env | None = None) -> NoReturn:
@@ -239,7 +237,7 @@ class _Evaluator:
         raise _Stop(FuelExhausted() if self.fuel < 1 else DepthExceeded(_MAX_DEPTH))
 
     def compile(self, e: Expr, level: int = 0) -> Code:
-        """The code of `e`, a node `level` levels below its compile root."""
+        """The code of `e`, a node that runs `level` levels deep."""
         if level >= _MAX_DEPTH:
             return self.stop  # it runs at least this deep, so its charge can only stop the run
         rule = _RULES.get(type(e))
@@ -249,29 +247,29 @@ class _Evaluator:
 
     # One compile rule per node type: _RULES maps class Num to method _num, and so on.
 
-    def _leaf(self, v: Value, level: int) -> Code:
-        ev, limit = self, _MAX_DEPTH - level
+    def _leaf(self, v: Value) -> Code:
+        ev = self
 
         def leaf(env: Env) -> Value:
-            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            if ev.fuel < 1: ev.stop()
             ev.fuel -= 1
             return v
         return leaf
 
     def _num(self, e: Num, level: int) -> Code:
-        return self._leaf(IntV(int(e.literal)), level)
+        return self._leaf(IntV(int(e.literal)))
 
     def _bool(self, e: Bool, level: int) -> Code:
-        return self._leaf(_BOOL(e.value), level)
+        return self._leaf(_BOOL(e.value))
 
     def _unit(self, e: Unit, level: int) -> Code:
-        return self._leaf(UNIT, level)
+        return self._leaf(UNIT)
 
     def _var(self, e: Var, level: int) -> Code:
-        ev, limit, name, pos = self, _MAX_DEPTH - level, e.name, e.pos
+        ev, name, pos = self, e.name, e.pos
 
         def var(env: Env) -> Value:
-            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            if ev.fuel < 1: ev.stop()
             ev.fuel -= 1
             if name in env:
                 return env[name]
@@ -279,11 +277,11 @@ class _Evaluator:
         return var
 
     def _bop(self, e: Bop, level: int) -> Code:
-        ev, limit, pos, (op, wrap) = self, _MAX_DEPTH - level, e.pos, _OPS[e.op]
+        ev, pos, (op, wrap) = self, e.pos, _OPS[e.op]
         lhs, rhs = self.compile(e.lhs, level + 1), self.compile(e.rhs, level + 1)
 
         def bop(env: Env) -> Value:
-            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            if ev.fuel < 1: ev.stop()
             ev.fuel -= 1
             v1, v2 = lhs(env), rhs(env)
             if isinstance(v1, IntV) and isinstance(v2, IntV):
@@ -297,11 +295,11 @@ class _Evaluator:
         return bop
 
     def _let(self, e: Let, level: int) -> Code:
-        ev, limit, name = self, _MAX_DEPTH - level, e.name
+        ev, name = self, e.name
         rhs = self.compile(e.rhs, level + 1)
 
         def let(env: Env) -> Value:
-            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            if ev.fuel < 1: ev.stop()
             ev.fuel -= 1
             ev.env = {**env, name: rhs(env)}
             return UNIT
@@ -309,12 +307,12 @@ class _Evaluator:
 
     def _if(self, e: If, level: int) -> Code:
         # A branch is compiled the first time it is taken: most never are.
-        ev, limit, pos = self, _MAX_DEPTH - level, e.pos
+        ev, pos = self, e.pos
         cond, then, orelse = self.compile(e.cond, level + 1), None, None
 
         def if_(env: Env) -> Value:
             nonlocal then, orelse
-            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            if ev.fuel < 1: ev.stop()
             ev.fuel -= 1
             cv = cond(env)
             if not isinstance(cv, BoolV):
@@ -327,11 +325,11 @@ class _Evaluator:
         return if_
 
     def _while(self, e: While, level: int) -> Code:
-        ev, limit, pos = self, _MAX_DEPTH - level, e.pos
+        ev, pos = self, e.pos
         cond, body = self.compile(e.cond, level + 1), self.compile(e.body, level + 1)
 
         def while_(env: Env) -> Value:
-            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            if ev.fuel < 1: ev.stop()
             ev.fuel -= 1
             # Iterative form of the recursive rule; each unfolding of the loop
             # is one more rule application, charged after its body.
@@ -347,12 +345,12 @@ class _Evaluator:
         return while_
 
     def _for(self, e: For, level: int) -> Code:
-        ev, limit, pos, x = self, _MAX_DEPTH - level, e.pos, e.var
+        ev, pos, x = self, e.pos, e.var
         start, stop = self.compile(e.start, level + 1), self.compile(e.stop, level + 1)
         body = self.compile(e.body, level + 1)
 
         def for_(env: Env) -> Value:
-            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            if ev.fuel < 1: ev.stop()
             ev.fuel -= 1
             v1, v2 = start(env), stop(env)
             if not isinstance(v1, IntV) or not isinstance(v2, IntV):
@@ -374,7 +372,7 @@ class _Evaluator:
 
     def _seq(self, e: Seq, level: int) -> Code:
         # One loop down the chain: each link is charged here, its statement one level below.
-        ev, limit, links = self, _MAX_DEPTH - level, []
+        ev, links = self, []
         while isinstance(e, Seq):
             links.append((self.compile(e.first, level + 1), isinstance(e.first, (Let, Seq))))
             e = e.second
@@ -382,7 +380,7 @@ class _Evaluator:
 
         def seq(env: Env) -> Value:
             for code, binds in links:
-                if ev.fuel < 1 or ev.base >= limit: ev.stop()
+                if ev.fuel < 1: ev.stop()
                 ev.fuel -= 1
                 code(env)
                 if binds:  # a `let` or a nested chain: go on with the env it left
@@ -394,52 +392,49 @@ class _Evaluator:
         return seq
 
     def _func(self, e: Func, level: int) -> Code:
-        ev, limit, body, param = self, _MAX_DEPTH - level, e.body, e.param
+        ev, body, param = self, e.body, e.param
 
         def func(env: Env) -> Value:
-            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            if ev.fuel < 1: ev.stop()
             ev.fuel -= 1
             return ClosV(body, param, dict(env))  # a copy: a `for` rebinds in its env
         return func
 
     def _app(self, e: App, level: int) -> Code:
-        # A closure body is compiled at its first application in the run. Each
-        # body is part of the program or of the input state, which outlive the
-        # run, so no other body takes its id.
-        ev, limit, pos, bodies = self, _MAX_DEPTH - level, e.pos, self.bodies
+        # A closure body runs one level below this node, so it is compiled at
+        # that level the first time this node applies it. Each body is part of
+        # the program or of the input state, which outlive the run, so no
+        # other body takes its id.
+        ev, pos, bodies = self, e.pos, {}
         fn, arg = self.compile(e.fn, level + 1), self.compile(e.arg, level + 1)
 
         def app(env: Env) -> Value:
-            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            if ev.fuel < 1: ev.stop()
             ev.fuel -= 1
             fv, av = fn(env), arg(env)
             if not isinstance(fv, ClosV):
                 raise _Stop(RuntimeFault(FaultKind.NOT_A_FUNCTION, pos))
             code = bodies.get(id(fv.body))
             if code is None:
-                code = bodies[id(fv.body)] = ev.compile(fv.body)
-            base = ev.base
-            ev.base = base + level + 1  # the body is one level below this node
-            v = code({**fv.env, fv.param: av})
-            ev.base = base
-            return v
+                code = bodies[id(fv.body)] = ev.compile(fv.body, level + 1)
+            return code({**fv.env, fv.param: av})
         return app
 
     def _ref(self, e: Ref, level: int) -> Code:
-        ev, limit, store = self, _MAX_DEPTH - level, self.store
+        ev, store = self, self.store
         inner = self.compile(e.inner, level + 1)
 
         def ref(env: Env) -> Value:
-            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            if ev.fuel < 1: ev.stop()
             ev.fuel -= 1
             return LocV(store.alloc(inner(env)))
         return ref
 
     def _deref(self, e: Deref, level: int) -> Code:
-        ev, limit, data, name, pos = self, _MAX_DEPTH - level, self.store.data, e.name, e.pos
+        ev, data, name, pos = self, self.store.data, e.name, e.pos
 
         def deref(env: Env) -> Value:
-            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            if ev.fuel < 1: ev.stop()
             ev.fuel -= 1
             lv = env.get(name)
             if lv is None:
@@ -450,11 +445,11 @@ class _Evaluator:
         return deref
 
     def _assign(self, e: Assign, level: int) -> Code:
-        ev, limit, data, name, pos = self, _MAX_DEPTH - level, self.store.data, e.name, e.pos
+        ev, data, name, pos = self, self.store.data, e.name, e.pos
         rhs = self.compile(e.rhs, level + 1)
 
         def assign(env: Env) -> Value:
-            if ev.fuel < 1 or ev.base >= limit: ev.stop()
+            if ev.fuel < 1: ev.stop()
             ev.fuel -= 1
             v = rhs(env)
             lv = env.get(name)
@@ -478,8 +473,8 @@ def evaluate(e: Expr, env: Env, store: Store, fuel: int) -> Outcome:
     if fuel < 1:
         return FuelExhausted()
     ev = _Evaluator(store.copy(), fuel)
-    limit = sys.getrecursionlimit()
-    if limit < 4 * _MAX_DEPTH:
+    saved = sys.getrecursionlimit()
+    if saved < 4 * _MAX_DEPTH:
         sys.setrecursionlimit(4 * _MAX_DEPTH)
     try:
         v = ev.compile(e)(env)
@@ -487,8 +482,8 @@ def evaluate(e: Expr, env: Env, store: Store, fuel: int) -> Outcome:
     except _Stop as stop:
         return stop.outcome
     finally:
-        if sys.getrecursionlimit() != limit:
-            sys.setrecursionlimit(limit)
+        if sys.getrecursionlimit() != saved:
+            sys.setrecursionlimit(saved)
 
 
 def run_program(e: Expr, fuel: int) -> Outcome:

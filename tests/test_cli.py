@@ -440,6 +440,23 @@ class TestNitest:
         assert code == EXIT_VIOLATION
         assert "VIOLATIONS FOUND" in capsys.readouterr().out
 
+    def test_an_unreadable_corpus_file_is_a_mismatch(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "expectations.json").write_text(json.dumps({"p.resc": {"verdict": "accept"}}))
+        (tmp_path / "p.resc").write_text("1")
+
+        def deny(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "read_bytes", deny)
+        code = main(["nitest", "--trials", "0", "--corpus", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_VIOLATION
+        assert out.splitlines()[-2:] == [
+            "MISMATCH p.resc: expected accept, got unreadable",
+            "result: VIOLATIONS FOUND",
+        ]
+        assert err == ""
+
     def test_readme_example_is_current(self, capsys):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         cmd = "$ rescheck nitest --trials 50 --seed 7\n"

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -651,6 +652,24 @@ class TestCorpus:
         report = run_corpus(tmp_path)
         assert not report.ok
         assert report.rows[0].actual_verdict == "missing"
+
+    def test_unreadable_file_is_reported(self, tmp_path, monkeypatch):
+        (tmp_path / "expectations.json").write_text(
+            json.dumps({"locked.resc": {"verdict": "accept"}, "p.resc": {"verdict": "accept"}})
+        )
+        (tmp_path / "locked.resc").write_text("1")
+        (tmp_path / "p.resc").write_text("1")
+        read_bytes = Path.read_bytes
+
+        def deny(path):
+            if path.name == "locked.resc":
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", deny)
+        report = run_corpus(tmp_path)
+        assert not report.ok
+        assert [(r.actual_verdict, r.ok) for r in report.rows] == [("unreadable", False), ("accept", True)]
 
     def test_unparseable_file_is_reported(self, tmp_path):
         (tmp_path / "expectations.json").write_text(

@@ -412,7 +412,9 @@ class TestDispatch:
 
 
 class TestCompile:
-    def test_a_closure_body_compiles_once_per_run(self):
+    def body_levels(self, src):
+        """Run `src` with `f` a closure of `x * 2 + 1` and `r` a ref; return
+        the store's cell and the level of each compile of that body."""
         body = parse("x * 2 + 1")
         compiled = []
 
@@ -423,10 +425,39 @@ class TestCompile:
                 return super().compile(e, level)
 
         ev = Counting(Store({0: IntV(0)}), 100_000)
-        code = ev.compile(parse("for i in 1 to 1000 { r := !r + f i }"))
+        code = ev.compile(parse(src))
         code({"f": ClosV(body, "x", {}), "r": LocV(0)})
-        assert ev.store.data[0] == IntV(sum(2 * i + 1 for i in range(1, 1001)))
-        assert compiled == [0]
+        return ev.store.data[0], compiled
+
+    def test_a_closure_body_compiles_once_per_run(self):
+        cell, compiled = self.body_levels("for i in 1 to 1000 { r := !r + f i }")
+        assert cell == IntV(sum(2 * i + 1 for i in range(1, 1001)))
+        # once, one level below `f i`, which is below `for`, `:=` and `+`
+        assert compiled == [4]
+
+    def test_a_body_compiles_once_per_application_node(self):
+        src = "for i in 1 to 3 { r := f i }\nr := 0 + f 2\nr := 0 + f 3"
+        assert self.body_levels(src) == (IntV(7), [4, 4, 4])
+
+    def test_a_body_compiles_at_the_depth_of_its_application(self):
+        assert self.body_levels("r := f 1\nr := 0 + f 2") == (IntV(5), [3, 4])
+
+    @pytest.mark.parametrize("sites", [1, 2], ids=["one-site", "shallow-site-first"])
+    @pytest.mark.parametrize("m", [0, 1, 100])
+    @pytest.mark.parametrize("total, outcome", [(2497, Ok), (2498, DepthExceeded)])
+    def test_depth_boundary_through_an_application(self, total, outcome, m, sites):
+        # the body's innermost `x` runs at 2 + m + k: the chain, m additions,
+        # the application and k additions above it; 2,499 is the deepest that runs
+        k = total - m
+        lines = ["let f = (x: low) => x" + " + 1" * k]
+        lines += ["f 1"] * (sites - 1)  # a shallower call first, at its own depth
+        lines.append("0 + (" * m + "f 1" + ")" * m)
+        out = run("\n".join(lines), fuel=1_000_000)
+        assert type(out) is outcome
+        if outcome is Ok:
+            assert out.value == IntV(1 + k)
+        else:
+            assert out == DepthExceeded(2500)
 
 
 class TestRunProgram:
