@@ -17,7 +17,9 @@ or function), so that generated programs do not get stuck on shape errors
 and state generation can build matching values from Γ alone.
 
 Builders are drawn by weight from tables built once, at import (`_Table`).
-Each pick consumes one `rng.random()`, as `rng.choices` would.
+Each pick consumes one `rng.random()`, as `rng.choices` would. A table names
+its builders and `_Gen.draw` looks each one up on the generator, so a
+subclass that overrides a builder is the one called.
 """
 
 from __future__ import annotations
@@ -244,7 +246,7 @@ class _Gen:
         always builds. A miss moves on to the table of the options left."""
         while True:
             pick = table.pick(self.rng)
-            built = table.items[pick](self, *args)
+            built = getattr(self, table.items[pick])(*args)
             if built is not None:
                 return built
             table = table.without(pick)
@@ -469,19 +471,16 @@ class _Gen:
         return [For(var, Num(str(a)), Num(str(b)), body)]
 
 
-# The generator's option lists, each a table built once: (weight, builder).
-_LEAF_EXPRS = _Table(((3.0, _Gen._expr_literal), (4.0, _Gen._expr_var), (3.0, _Gen._expr_deref)))
-_BOOL_EXPRS = _Table((*_LEAF_EXPRS.options, (3.0, _Gen._expr_bop), (1.0, _Gen._expr_ifexpr)))
-_INT_EXPRS = _Table((*_BOOL_EXPRS.options, (1.5, _Gen._expr_app)))
-_UNIT_EXPRS = _Table(((4.0, _Gen._expr_literal), (3.0, _Gen._expr_var)))
+# The generator's option lists, each a table built once: (weight, builder name).
+_LEAF_EXPRS = _Table(((3.0, "_expr_literal"), (4.0, "_expr_var"), (3.0, "_expr_deref")))
+_BOOL_EXPRS = _Table((*_LEAF_EXPRS.options, (3.0, "_expr_bop"), (1.0, "_expr_ifexpr")))
+_INT_EXPRS = _Table((*_BOOL_EXPRS.options, (1.5, "_expr_app")))
+_UNIT_EXPRS = _Table(((4.0, "_expr_literal"), (3.0, "_expr_var")))
 _FLAT_STMTS = _Table((
-    (1.0, _Gen._stmt_expr), (2.5, _Gen._stmt_let_base), (1.5, _Gen._stmt_let_annot),
-    (2.0, _Gen._stmt_let_ref), (1.5, _Gen._stmt_let_fun), (2.5, _Gen._stmt_assign),
-    (1.5, _Gen._stmt_app),
+    (1.0, "_stmt_expr"), (2.5, "_stmt_let_base"), (1.5, "_stmt_let_annot"),
+    (2.0, "_stmt_let_ref"), (1.5, "_stmt_let_fun"), (2.5, "_stmt_assign"), (1.5, "_stmt_app"),
 ))
-_STMTS = _Table((
-    *_FLAT_STMTS.options, (1.5, _Gen._stmt_if), (1.0, _Gen._stmt_while), (1.0, _Gen._stmt_for)
-))
+_STMTS = _Table((*_FLAT_STMTS.options, (1.5, "_stmt_if"), (1.0, "_stmt_while"), (1.0, "_stmt_for")))
 _STMT_EXPR_SHAPES = _Table(((3, "i"), (1.5, "b"), (0.5, "u")))
 
 

@@ -8,12 +8,18 @@ variable in its own copy, a closure captures a copy), which keeps the
 caller's state intact; evaluating the same expression from equal states is
 fully deterministic.
 
-A run compiles each node it reaches into a closure `code(env) -> value`:
-one Python call per rule application. `_RULES` maps each `Expr` class to the
-`_Evaluator` method that compiles it, and anything else raises TypeError
-when compiled. Only a statement chain threads an env, in one loop down its
-`Seq` spine. An `If` branch is compiled when first taken, and a closure body
-below each application node, the first time that node applies it.
+A run compiles each node it reaches into a closure `code(env) -> value`.
+`_RULES` maps each `Expr` class to the `_Evaluator` method that compiles it,
+and anything else raises TypeError when compiled. Only a statement chain
+threads an env, in one loop down its `Seq` spine. An `If` branch is compiled
+when first taken, and a closure body below each application node, the first
+time that node applies it.
+
+A pure expression (a literal, variable or dereference, or an operator over
+pure operands) writes and allocates nothing and charges one per node in a
+fixed order. So its code takes no fuel, and its node count is charged in one
+step, by the rule that evaluates it first after its own charge or else by
+one wrapper, with the outcome of one charge per node at every fuel.
 
 Nesting depth is its own outcome. Evaluation that nests deeper than
 `_MAX_DEPTH` rule applications ends in DepthExceeded, not FuelExhausted:
@@ -179,10 +185,13 @@ class DepthExceeded(Outcome):
 
 
 class _Stop(Exception):
-    """Ends evaluation early with the run's outcome."""
+    """Ends evaluation early with the run's outcome. A stop in pure code
+    carries its position `k`, the charges the fuel must cover to reach it: a
+    variable or a dereference faults after its own charge, an operator after
+    its operands' last, and a node too deep where its own would be."""
 
-    def __init__(self, outcome: Outcome):
-        self.outcome = outcome
+    def __init__(self, outcome: Outcome, k: int = 0):
+        self.outcome, self.k = outcome, k
 
 
 # Recursion in evaluated programs consumes fuel faster than Python stack
@@ -193,6 +202,7 @@ _MAX_DEPTH = 2500
 DEFAULT_FUEL = 10000  # the step budget of a run that names none
 
 Code = Callable[[Env], Value]
+Compiled = tuple[Code, int]  # a node's code, and its cost if it is pure, else 0
 
 
 def _div(a: int, b: int) -> int:
@@ -221,137 +231,156 @@ class _Evaluator:
     application that calls it. So only `compile` checks depth, and code never
     does.
 
-    Each code starts with the same charge: the run stops when fuel is out, and
-    one fuel is taken.
+    `compile` returns a node's code and its cost: the node count of a pure
+    expression, whose code takes no fuel, or 0 for code that charges itself,
+    once on entry, with the pure operands it evaluates first. A charge that
+    the fuel left does not cover calls `short`, which never returns; to find
+    where the run stops, each node is compiled `at` charges into its charge.
     """
 
     __slots__ = ("store", "fuel", "env")
 
     def __init__(self, store: Store, fuel: int):
-        self.store = store
-        self.fuel = fuel
+        self.store, self.fuel = store, fuel
         self.env: Env = {}  # the env the last `let` or statement chain to finish left
 
-    def stop(self, env: Env | None = None) -> NoReturn:
-        """End the run: out of fuel if none is left, else nested too deep."""
-        raise _Stop(FuelExhausted() if self.fuel < 1 else DepthExceeded(_MAX_DEPTH))
+    def short(self, env: Env, at: int, first: tuple[Code, ...]) -> NoReturn:
+        """End a run short of a charge at `at + 1`: where the pure codes it covers stop."""
+        try:
+            for code in first:
+                code(env)
+        except _Stop as stop:
+            if stop.k - at <= self.fuel:
+                raise
+        raise _Stop(FuelExhausted())
 
-    def compile(self, e: Expr, level: int = 0) -> Code:
-        """The code of `e`, a node that runs `level` levels deep."""
-        if level >= _MAX_DEPTH:
-            return self.stop  # it runs at least this deep, so its charge can only stop the run
+    def compile(self, e: Expr, level: int = 0, at: int = 0) -> Compiled:
+        """The code of `e`, run `level` deep and `at` charges into its charge, and its cost."""
+        if level >= _MAX_DEPTH:  # it runs at least this deep, so it stops the run
+            def too_deep(env: Env, k: int = at + 1) -> NoReturn:  # a default, so `at` is no cell
+                raise _Stop(DepthExceeded(_MAX_DEPTH), k)
+            return too_deep, 1
         rule = _RULES.get(type(e))
         if rule is None:
             raise TypeError(f"not an Expr: {e!r}")
-        return rule(self, e, level)
+        return rule(self, e, level, at)
+
+    def charged(self, code: Code, cost: int, at: int = 0, first: tuple | None = None) -> Code:
+        """`code` behind one charge of `cost` at position `at + 1`, covering
+        the pure codes `first` (by default `code`). No cost: it charges itself."""
+        if not cost:
+            return code
+        ev, first = self, (code,) if first is None else first
+
+        def charge(env: Env) -> Value:
+            ev.fuel -= cost if ev.fuel >= cost else ev.short(env, at, first)
+            return code(env)
+        return charge
 
     # One compile rule per node type: _RULES maps class Num to method _num, and so on.
 
-    def _leaf(self, v: Value) -> Code:
-        ev = self
+    def _num(self, e: Num, level: int, at: int) -> Compiled:
+        v = IntV(int(e.literal))
+        return (lambda env: v), 1
 
-        def leaf(env: Env) -> Value:
-            if ev.fuel < 1: ev.stop()
-            ev.fuel -= 1
-            return v
-        return leaf
+    def _bool(self, e: Bool, level: int, at: int) -> Compiled:
+        v = _BOOL(e.value)
+        return (lambda env: v), 1
 
-    def _num(self, e: Num, level: int) -> Code:
-        return self._leaf(IntV(int(e.literal)))
+    def _unit(self, e: Unit, level: int, at: int) -> Compiled:
+        return (lambda env: UNIT), 1
 
-    def _bool(self, e: Bool, level: int) -> Code:
-        return self._leaf(_BOOL(e.value))
-
-    def _unit(self, e: Unit, level: int) -> Code:
-        return self._leaf(UNIT)
-
-    def _var(self, e: Var, level: int) -> Code:
-        ev, name, pos = self, e.name, e.pos
+    def _var(self, e: Var, level: int, at: int) -> Compiled:
+        name, pos, k = e.name, e.pos, at + 1
 
         def var(env: Env) -> Value:
-            if ev.fuel < 1: ev.stop()
-            ev.fuel -= 1
-            if name in env:
+            try:
                 return env[name]
-            raise _Stop(RuntimeFault(FaultKind.UNBOUND_VAR, pos))
-        return var
+            except KeyError:
+                raise _Stop(RuntimeFault(FaultKind.UNBOUND_VAR, pos), k) from None
+        return var, 1
 
-    def _bop(self, e: Bop, level: int) -> Code:
-        ev, pos, (op, wrap) = self, e.pos, _OPS[e.op]
-        lhs, rhs = self.compile(e.lhs, level + 1), self.compile(e.rhs, level + 1)
+    def _bop(self, e: Bop, level: int, at: int) -> Compiled:
+        pos, (op, wrap) = e.pos, _OPS[e.op]
+        lhs, n1 = self.compile(e.lhs, level + 1, at + 1)
+        rhs, n2 = self.compile(e.rhs, level + 1, at + 1 + n1)
+        k, pure = at + 1 + n1 + n2, n1 and n2  # a pure operator faults after its last charge
+        if not pure:  # its charge covers a pure left operand; a pure right one pays its own
+            rhs, first = self.charged(rhs, n2, at + 1 + n1), (lhs,) if n1 else ()
+        # A literal operand under this charge is read here, once: its code ignores the env.
+        near = level + 1 < _MAX_DEPTH  # so the operands are not stops
+        c1 = lhs(None) if near and isinstance(e.lhs, (Num, Bool, Unit)) else None
+        c2 = rhs(None) if near and pure and isinstance(e.rhs, (Num, Bool, Unit)) else None
 
         def bop(env: Env) -> Value:
-            if ev.fuel < 1: ev.stop()
-            ev.fuel -= 1
-            v1, v2 = lhs(env), rhs(env)
+            v1, v2 = c1 or lhs(env), c2 or rhs(env)
             if isinstance(v1, IntV) and isinstance(v2, IntV):
                 try:
                     return wrap(op(v1.n, v2.n))
                 except ZeroDivisionError:
-                    raise _Stop(RuntimeFault(FaultKind.DIV_BY_ZERO, pos))
+                    raise _Stop(RuntimeFault(FaultKind.DIV_BY_ZERO, pos), k) from None
             if op is operator.eq and isinstance(v1, BoolV) and isinstance(v2, BoolV):
                 return _BOOL(v1.b == v2.b)
-            raise _Stop(RuntimeFault(FaultKind.NOT_AN_INT, pos))
-        return bop
+            raise _Stop(RuntimeFault(FaultKind.NOT_AN_INT, pos), k)
+        return (bop, k - at) if pure else (self.charged(bop, 1 + n1, at, first), 0)
 
-    def _let(self, e: Let, level: int) -> Code:
+    def _let(self, e: Let, level: int, at: int) -> Compiled:
         ev, name = self, e.name
-        rhs = self.compile(e.rhs, level + 1)
+        rhs, n = self.compile(e.rhs, level + 1, 1)
+        cost, first = 1 + n, (rhs,) if n else ()
 
         def let(env: Env) -> Value:
-            if ev.fuel < 1: ev.stop()
-            ev.fuel -= 1
+            ev.fuel -= cost if ev.fuel >= cost else ev.short(env, 0, first)
             ev.env = {**env, name: rhs(env)}
             return UNIT
-        return let
+        return let, 0
 
-    def _if(self, e: If, level: int) -> Code:
+    def _if(self, e: If, level: int, at: int) -> Compiled:
         # A branch is compiled the first time it is taken: most never are.
-        ev, pos = self, e.pos
-        cond, then, orelse = self.compile(e.cond, level + 1), None, None
+        ev, pos, then, orelse = self, e.pos, None, None
+        cond, n = self.compile(e.cond, level + 1, 1)
+        cost, first = 1 + n, (cond,) if n else ()
 
         def if_(env: Env) -> Value:
             nonlocal then, orelse
-            if ev.fuel < 1: ev.stop()
-            ev.fuel -= 1
+            ev.fuel -= cost if ev.fuel >= cost else ev.short(env, 0, first)
             cv = cond(env)
             if not isinstance(cv, BoolV):
                 raise _Stop(RuntimeFault(FaultKind.NOT_A_BOOL, pos))
             if cv.b:
-                then = then or ev.compile(e.then, level + 1)
+                then = then or ev.charged(*ev.compile(e.then, level + 1))
                 return then(env)
-            orelse = orelse or ev.compile(e.orelse, level + 1)
+            orelse = orelse or ev.charged(*ev.compile(e.orelse, level + 1))
             return orelse(env)
-        return if_
+        return if_, 0
 
-    def _while(self, e: While, level: int) -> Code:
+    def _while(self, e: While, level: int, at: int) -> Compiled:
         ev, pos = self, e.pos
-        cond, body = self.compile(e.cond, level + 1), self.compile(e.body, level + 1)
+        cond, n = self.compile(e.cond, level + 1, 1)
+        cost, first = 1 + n, (cond,) if n else ()
+        body = self.charged(*self.compile(e.body, level + 1))
 
         def while_(env: Env) -> Value:
-            if ev.fuel < 1: ev.stop()
-            ev.fuel -= 1
             # Iterative form of the recursive rule; each unfolding of the loop
-            # is one more rule application, charged after its body.
+            # is one more rule application, charged with its guard.
             while True:
+                ev.fuel -= cost if ev.fuel >= cost else ev.short(env, 0, first)
                 cv = cond(env)
                 if not isinstance(cv, BoolV):
                     raise _Stop(RuntimeFault(FaultKind.NOT_A_BOOL, pos))
                 if not cv.b:
                     return UNIT
                 body(env)
-                if ev.fuel < 1: ev.stop()
-                ev.fuel -= 1
-        return while_
+        return while_, 0
 
-    def _for(self, e: For, level: int) -> Code:
+    def _for(self, e: For, level: int, at: int) -> Compiled:
         ev, pos, x = self, e.pos, e.var
-        start, stop = self.compile(e.start, level + 1), self.compile(e.stop, level + 1)
-        body = self.compile(e.body, level + 1)
+        start = self.charged(*self.compile(e.start, level + 1))
+        stop = self.charged(*self.compile(e.stop, level + 1))
+        body = self.charged(*self.compile(e.body, level + 1))
 
         def for_(env: Env) -> Value:
-            if ev.fuel < 1: ev.stop()
-            ev.fuel -= 1
+            ev.fuel -= 1 if ev.fuel >= 1 else ev.short(env, 0, ())
             v1, v2 = start(env), stop(env)
             if not isinstance(v1, IntV) or not isinstance(v2, IntV):
                 raise _Stop(RuntimeFault(FaultKind.NOT_AN_INT, pos))
@@ -368,20 +397,20 @@ class _Evaluator:
                 local[x] = IntV(i)
                 body(local)
             return UNIT
-        return for_
+        return for_, 0
 
-    def _seq(self, e: Seq, level: int) -> Code:
+    def _seq(self, e: Seq, level: int, at: int) -> Compiled:
         # One loop down the chain: each link is charged here, its statement one level below.
         ev, links = self, []
         while isinstance(e, Seq):
-            links.append((self.compile(e.first, level + 1), isinstance(e.first, (Let, Seq))))
+            code, n = self.compile(e.first, level + 1)
+            links.append((self.charged(code, n) if n else code, isinstance(e.first, (Let, Seq))))
             e = e.second
-        last, last_binds = self.compile(e, level + 1), isinstance(e, Let)
+        last, last_binds = self.charged(*self.compile(e, level + 1)), isinstance(e, Let)
 
         def seq(env: Env) -> Value:
             for code, binds in links:
-                if ev.fuel < 1: ev.stop()
-                ev.fuel -= 1
+                ev.fuel -= 1 if ev.fuel >= 1 else ev.short(env, 0, ())
                 code(env)
                 if binds:  # a `let` or a nested chain: go on with the env it left
                     env = ev.env
@@ -389,77 +418,73 @@ class _Evaluator:
             if not last_binds:
                 ev.env = env
             return v
-        return seq
+        return seq, 0
 
-    def _func(self, e: Func, level: int) -> Code:
+    def _func(self, e: Func, level: int, at: int) -> Compiled:
         ev, body, param = self, e.body, e.param
 
         def func(env: Env) -> Value:
-            if ev.fuel < 1: ev.stop()
-            ev.fuel -= 1
+            ev.fuel -= 1 if ev.fuel >= 1 else ev.short(env, 0, ())
             return ClosV(body, param, dict(env))  # a copy: a `for` rebinds in its env
-        return func
+        return func, 0
 
-    def _app(self, e: App, level: int) -> Code:
-        # A closure body runs one level below this node, so it is compiled at
-        # that level the first time this node applies it. Each body is part of
-        # the program or of the input state, which outlive the run, so no
-        # other body takes its id.
+    def _app(self, e: App, level: int, at: int) -> Compiled:
+        # A closure body runs one level below, compiled when this node first applies it.
+        # Bodies belong to the program or the input state, which outlive the run: no id is reused.
         ev, pos, bodies = self, e.pos, {}
-        fn, arg = self.compile(e.fn, level + 1), self.compile(e.arg, level + 1)
+        fn, n1 = self.compile(e.fn, level + 1, 1)
+        arg, n2 = self.compile(e.arg, level + 1, 1 + n1)
+        cost, first = 1 + n1 + n2, (fn, arg)
+        if not (n1 and n2):  # the charge covers a pure function; a pure argument pays its own
+            cost, first, arg = 1 + n1, (fn,) if n1 else (), self.charged(arg, n2, 1 + n1)
 
         def app(env: Env) -> Value:
-            if ev.fuel < 1: ev.stop()
-            ev.fuel -= 1
+            ev.fuel -= cost if ev.fuel >= cost else ev.short(env, 0, first)
             fv, av = fn(env), arg(env)
             if not isinstance(fv, ClosV):
                 raise _Stop(RuntimeFault(FaultKind.NOT_A_FUNCTION, pos))
             code = bodies.get(id(fv.body))
             if code is None:
-                code = bodies[id(fv.body)] = ev.compile(fv.body, level + 1)
+                code = bodies[id(fv.body)] = ev.charged(*ev.compile(fv.body, level + 1))
             return code({**fv.env, fv.param: av})
-        return app
+        return app, 0
 
-    def _ref(self, e: Ref, level: int) -> Code:
+    def _ref(self, e: Ref, level: int, at: int) -> Compiled:
         ev, store = self, self.store
-        inner = self.compile(e.inner, level + 1)
+        inner, n = self.compile(e.inner, level + 1, 1)
+        cost, first = 1 + n, (inner,) if n else ()
 
         def ref(env: Env) -> Value:
-            if ev.fuel < 1: ev.stop()
-            ev.fuel -= 1
+            ev.fuel -= cost if ev.fuel >= cost else ev.short(env, 0, first)
             return LocV(store.alloc(inner(env)))
-        return ref
+        return ref, 0
 
-    def _deref(self, e: Deref, level: int) -> Code:
-        ev, data, name, pos = self, self.store.data, e.name, e.pos
+    def _deref(self, e: Deref, level: int, at: int) -> Compiled:
+        data, name, pos, k = self.store.data, e.name, e.pos, at + 1
 
         def deref(env: Env) -> Value:
-            if ev.fuel < 1: ev.stop()
-            ev.fuel -= 1
-            lv = env.get(name)
-            if lv is None:
-                raise _Stop(RuntimeFault(FaultKind.UNBOUND_VAR, pos))
-            if not isinstance(lv, LocV) or lv.loc not in data:
-                raise _Stop(RuntimeFault(FaultKind.NOT_A_LOC, pos))
-            return data[lv.loc]
-        return deref
+            try:
+                return data[env[name].loc]
+            except (KeyError, AttributeError):  # unbound, not a location, or not in the store
+                kind = FaultKind.NOT_A_LOC if name in env else FaultKind.UNBOUND_VAR
+                raise _Stop(RuntimeFault(kind, pos), k) from None
+        return deref, 1
 
-    def _assign(self, e: Assign, level: int) -> Code:
+    def _assign(self, e: Assign, level: int, at: int) -> Compiled:
         ev, data, name, pos = self, self.store.data, e.name, e.pos
-        rhs = self.compile(e.rhs, level + 1)
+        rhs, n = self.compile(e.rhs, level + 1, 1)
+        cost, first = 1 + n, (rhs,) if n else ()
 
         def assign(env: Env) -> Value:
-            if ev.fuel < 1: ev.stop()
-            ev.fuel -= 1
+            ev.fuel -= cost if ev.fuel >= cost else ev.short(env, 0, first)
             v = rhs(env)
             lv = env.get(name)
-            if lv is None:
-                raise _Stop(RuntimeFault(FaultKind.UNBOUND_VAR, pos))
             if not isinstance(lv, LocV):
-                raise _Stop(RuntimeFault(FaultKind.NOT_A_LOC, pos))
+                kind = FaultKind.UNBOUND_VAR if lv is None else FaultKind.NOT_A_LOC
+                raise _Stop(RuntimeFault(kind, pos))
             data[lv.loc] = v
             return UNIT
-        return assign
+        return assign, 0
 
 
 _RULES = {
@@ -477,7 +502,7 @@ def evaluate(e: Expr, env: Env, store: Store, fuel: int) -> Outcome:
     if saved < 4 * _MAX_DEPTH:
         sys.setrecursionlimit(4 * _MAX_DEPTH)
     try:
-        v = ev.compile(e)(env)
+        v = ev.charged(*ev.compile(e))(env)
         return Ok(v, State(ev.env if isinstance(e, (Let, Seq)) else env, ev.store))
     except _Stop as stop:
         return stop.outcome

@@ -267,10 +267,10 @@ class _EnvAudit(_Evaluator):
     forms = (If, While, For, Bop)
     audited = 0
 
-    def compile(self, e, level=0):
-        code = super().compile(e, level)
+    def compile(self, e, level=0, at=0):
+        code, cost = super().compile(e, level, at)
         if not isinstance(e, self.forms):
-            return code
+            return code, cost
 
         def audited(env):
             before = dict(env)
@@ -279,7 +279,7 @@ class _EnvAudit(_Evaluator):
             _EnvAudit.audited += 1
             return v
 
-        return audited
+        return audited, cost
 
 
 def test_criterion_6_interpreter_goldens():
@@ -305,7 +305,7 @@ def test_criterion_6_interpreter_goldens():
         for state in (s1, s2):
             ev = _EnvAudit(state.store.copy(), cfg.fuel)
             try:
-                ev.compile(prog)(dict(state.env))
+                ev.charged(*ev.compile(prog))(dict(state.env))
             except _Stop as stop:
                 # fuel and faults end a run; nesting too deep fails the test
                 assert not isinstance(stop.outcome, DepthExceeded), stop.outcome

@@ -135,6 +135,23 @@ def test_every_row_keeps_its_cost_and_outcome():
         assert isinstance(run_row(row, cost - 1), FuelExhausted), row
 
 
+SWEEP_COST = 300  # rows that cost at most this are run at every fuel below it
+
+
+def test_every_fuel_gives_the_golden_outcome():
+    # Fuel is charged in steps of more than one, so check each fuel below a
+    # row's cost, not only the one next to it, and some fuel to spare.
+    rows = json.loads(GOLDEN.read_text())
+    swept = [r for r in rows if r["cost"] is not None and r["cost"] <= SWEEP_COST]
+    assert len(swept) > 900
+    for row in swept:
+        cost = row["cost"]
+        for fuel in range(cost):
+            assert isinstance(run_row(row, fuel), FuelExhausted), (row, fuel)
+        for fuel in (cost + 1, 2 * cost):
+            assert outcome_json(run_row(row, fuel)) == row["outcome"], (row, fuel)
+
+
 def test_rows_cover_every_outcome_kind():
     kinds = {r["outcome"]["kind"] for r in json.loads(GOLDEN.read_text())}
     assert kinds == {"Ok", "RuntimeFault", "FuelExhausted"}

@@ -112,6 +112,28 @@ class TestGenWelltyped:
             item for k, item in enumerate(t.items) if k not in (1, 3)
         ]
 
+    def test_a_subclass_override_of_a_builder_is_called(self):
+        # the tables name their builders, so `draw` finds each on the generator
+        calls = []
+
+        class Counting(harness._Gen):
+            def _stmt_while(self, ctx, pc, depth):
+                calls.append(depth)
+                return super()._stmt_while(ctx, pc, depth)
+
+        class NoLoops(harness._Gen):
+            def _stmt_while(self, ctx, pc, depth):
+                return None  # a miss: draw moves on to the other statements
+
+        loops = 0
+        for seed in range(60):
+            plain = harness._Gen(random.Random(seed)).gen_program({}, LOW, harness.MAX_DEPTH)
+            assert Counting(random.Random(seed)).gen_program({}, LOW, harness.MAX_DEPTH) == plain
+            loops += pretty(plain).count("while ")
+            prog = NoLoops(random.Random(seed)).gen_program({}, LOW, harness.MAX_DEPTH)
+            assert "while " not in pretty(prog)
+        assert loops > 0 and len(calls) >= loops
+
     def test_programs_vary_with_the_seed(self):
         progs = {
             gen_welltyped(GenConfig(rng_seed=s), {}, LOW) for s in range(30)

@@ -274,6 +274,65 @@ class TestFunctions:
         assert isinstance(out, RuntimeFault) and out.kind == FaultKind.UNBOUND_VAR
 
 
+# A fault inside a pure operand (literals, variables, dereferences and
+# operators) of each rule that evaluates one: first after the rule's own
+# charge (`let`, `:=`, `ref`, an `if` guard, a `for` bound, an application's
+# argument, an operator's left operand beside an impure right one), after an
+# impure operand (`bop-after`, `app-after`), and in a `while` guard.
+# NotAnInt and DivByZero in a guard wait for the loop's second unfolding; an
+# UnboundVar or NotALoc cannot, since a loop's env and live cells stay the
+# same, so those fault on the first. Each row: rule, program, cost, fault and
+# its column on line 1, all recorded before pure operands were charged in one
+# step. The program runs unchecked from `CONSUMER_ENV` and `consumer_store()`.
+CONSUMER_FAULTS = [
+    ("let", "let z = 1 + (x * (2 + true))\nz", 9, FaultKind.NOT_AN_INT, 19),
+    ("let", "let z = 1 + (x * nope)\nz", 7, FaultKind.UNBOUND_VAR, 18),
+    ("let", "let z = 1 + (x * !x)\nz", 7, FaultKind.NOT_A_LOC, 18),
+    ("let", "let z = 1 + (x * (7 / (x - 1)))\nz", 11, FaultKind.DIV_BY_ZERO, 19),
+    ("assign", "r := 1 + (x * (2 + true))", 8, FaultKind.NOT_AN_INT, 16),
+    ("assign", "r := 1 + (x * nope)", 6, FaultKind.UNBOUND_VAR, 15),
+    ("assign", "r := 1 + (x * !x)", 6, FaultKind.NOT_A_LOC, 15),
+    ("assign", "r := 1 + (x * (7 / (x - 1)))", 10, FaultKind.DIV_BY_ZERO, 16),
+    ("ref", "ref(1 + (x * (2 + true)))", 8, FaultKind.NOT_AN_INT, 15),
+    ("ref", "ref(1 + (x * nope))", 6, FaultKind.UNBOUND_VAR, 14),
+    ("ref", "ref(1 + (x * !x))", 6, FaultKind.NOT_A_LOC, 14),
+    ("ref", "ref(1 + (x * (7 / (x - 1))))", 10, FaultKind.DIV_BY_ZERO, 15),
+    ("if", "if 0 < 1 + (x * (2 + true)) { 1 } else { 2 }", 10, FaultKind.NOT_AN_INT, 18),
+    ("if", "if 0 < 1 + (x * nope) { 1 } else { 2 }", 8, FaultKind.UNBOUND_VAR, 17),
+    ("if", "if 0 < 1 + (x * !x) { 1 } else { 2 }", 8, FaultKind.NOT_A_LOC, 17),
+    ("if", "if 0 < 1 + (x * (7 / (x - 1))) { 1 } else { 2 }", 12, FaultKind.DIV_BY_ZERO, 18),
+    ("app", "f (1 + (x * (2 + true)))", 9, FaultKind.NOT_AN_INT, 14),
+    ("app", "f (1 + (x * nope))", 7, FaultKind.UNBOUND_VAR, 13),
+    ("app", "f (1 + (x * !x))", 7, FaultKind.NOT_A_LOC, 13),
+    ("app", "f (1 + (x * (7 / (x - 1))))", 11, FaultKind.DIV_BY_ZERO, 14),
+    ("for", "for i in 1 + (x * (2 + true)) to 3 { 0 }", 8, FaultKind.NOT_AN_INT, 20),
+    ("for", "for i in 1 + (x * nope) to 3 { 0 }", 6, FaultKind.UNBOUND_VAR, 19),
+    ("for", "for i in 1 + (x * !x) to 3 { 0 }", 6, FaultKind.NOT_A_LOC, 19),
+    ("for", "for i in 1 + (x * (7 / (x - 1))) to 3 { 0 }", 10, FaultKind.DIV_BY_ZERO, 20),
+    ("bop", "(1 + (x * (2 + true))) + f 1", 8, FaultKind.NOT_AN_INT, 12),
+    ("bop", "(1 + (x * nope)) + f 1", 6, FaultKind.UNBOUND_VAR, 11),
+    ("bop", "(1 + (x * !x)) + f 1", 6, FaultKind.NOT_A_LOC, 11),
+    ("bop", "(1 + (x * (7 / (x - 1)))) + f 1", 10, FaultKind.DIV_BY_ZERO, 12),
+    ("bop-after", "f 1 + (1 + (x * (2 + true)))", 12, FaultKind.NOT_AN_INT, 18),
+    ("bop-after", "f 1 + (1 + (x * nope))", 10, FaultKind.UNBOUND_VAR, 17),
+    ("bop-after", "f 1 + (1 + (x * !x))", 10, FaultKind.NOT_A_LOC, 17),
+    ("bop-after", "f 1 + (1 + (x * (7 / (x - 1))))", 14, FaultKind.DIV_BY_ZERO, 18),
+    ("app-after", "(f f) (1 + (x * (2 + true)))", 12, FaultKind.NOT_AN_INT, 18),
+    ("app-after", "(f f) (1 + (x * nope))", 10, FaultKind.UNBOUND_VAR, 17),
+    ("app-after", "(f f) (1 + (x * !x))", 10, FaultKind.NOT_A_LOC, 17),
+    ("app-after", "(f f) (1 + (x * (7 / (x - 1))))", 14, FaultKind.DIV_BY_ZERO, 18),
+    ("while", "while !c < 2 + (x * (1 + !r)) { r := true; c := !c + 1 }", 27, FaultKind.NOT_AN_INT, 22),
+    ("while", "while !c < 2 + (x * nope) { c := !c + 1 }", 8, FaultKind.UNBOUND_VAR, 21),
+    ("while", "while !c < 2 + (x * !x) { c := !c + 1 }", 8, FaultKind.NOT_A_LOC, 21),
+    ("while", "while !c < 2 + (x * (7 / (1 - !c))) { c := !c + 1 }", 28, FaultKind.DIV_BY_ZERO, 22),
+]
+CONSUMER_ENV = {"x": IntV(1), "r": LocV(0), "c": LocV(1), "f": ClosV(syntax.Var("y"), "y", {})}
+
+
+def consumer_store():
+    return Store({0: IntV(0), 1: IntV(0)})
+
+
 class TestFuel:
     def test_every_rule_application_costs_one(self):
         # 1 + 2 applies three rules
@@ -371,11 +430,20 @@ class TestFuel:
             ("\n".join(f"let x{i} = {i}" for i in range(2499)) + "\nx0", 7498, Ok),
             ("let w = (f: low) => f f\nw w", 7498, FuelExhausted),
             ("let w = (f: low) => f f\nw w", 7499, DepthExceeded),
+            # a 2,500-term chain as the right-hand side of a `let` or `:=`
+            # starts two levels down, so its 2,499th addition is the first
+            # node past the limit: it stops after the statements' charges and
+            # the 2,498 additions above it
+            ("let y = 0" + " + 1" * 2499 + "\ny", 2500, FuelExhausted),
+            ("let y = 0" + " + 1" * 2499 + "\ny", 2501, DepthExceeded),
+            ("let r = ref(0)\nr := 0" + " + 1" * 2499, 2503, FuelExhausted),
+            ("let r = ref(0)\nr := 0" + " + 1" * 2499, 2504, DepthExceeded),
         ],
         ids=[
             "2499-adds-fuel", "2499-adds-ok", "2500-adds-fuel", "2500-adds-depth",
             "2498-lets-fuel", "2498-lets-ok", "2499-lets-fuel", "2499-lets-ok",
-            "self-app-fuel", "self-app-depth",
+            "self-app-fuel", "self-app-depth", "let-chain-fuel", "let-chain-depth",
+            "assign-chain-fuel", "assign-chain-depth",
         ],
     )
     def test_outcomes_at_the_depth_boundary(self, src, fuel, outcome):
@@ -383,6 +451,17 @@ class TestFuel:
         assert type(out) is outcome
         if outcome is DepthExceeded:
             assert out == DepthExceeded(2500)
+
+    @pytest.mark.parametrize(
+        "src, cost, kind, col",
+        [row[1:] for row in CONSUMER_FAULTS],
+        ids=[f"{row[0]}-{row[3].value}" for row in CONSUMER_FAULTS],
+    )
+    def test_a_fault_in_a_pure_operand_at_every_fuel(self, src, cost, kind, col):
+        fault = RuntimeFault(kind, syntax.Pos(1, col))
+        for fuel in range(cost + 2):
+            out = evaluate(parse(src), dict(CONSUMER_ENV), consumer_store(), fuel)
+            assert out == (fault if fuel >= cost else FuelExhausted()), fuel
 
 
 class TestDispatch:
@@ -419,13 +498,13 @@ class TestCompile:
         compiled = []
 
         class Counting(interpreter._Evaluator):
-            def compile(self, e, level=0):
+            def compile(self, e, level=0, at=0):
                 if e is body:
                     compiled.append(level)
-                return super().compile(e, level)
+                return super().compile(e, level, at)
 
         ev = Counting(Store({0: IntV(0)}), 100_000)
-        code = ev.compile(parse(src))
+        code = ev.charged(*ev.compile(parse(src)))
         code({"f": ClosV(body, "x", {}), "r": LocV(0)})
         return ev.store.data[0], compiled
 
