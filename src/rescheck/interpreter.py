@@ -19,7 +19,8 @@ A pure expression (a literal, variable or dereference, or an operator over
 pure operands) writes and allocates nothing and charges one per node in a
 fixed order. So its code takes no fuel, and its node count is charged in one
 step, by the rule that evaluates it first after its own charge or else by
-one wrapper, with the outcome of one charge per node at every fuel.
+one wrapper, with the outcome of one charge per node at every fuel. Small
+operator trees run on Python ints, boxed once; a failure reruns them exactly.
 
 Nesting depth is its own outcome. Evaluation that nests deeper than
 `_MAX_DEPTH` rule applications ends in DepthExceeded, not FuelExhausted:
@@ -203,6 +204,8 @@ DEFAULT_FUEL = 10000  # the step budget of a run that names none
 
 Code = Callable[[Env], Value]
 Compiled = tuple[Code, int]  # a node's code, and its cost if it is pure, else 0
+Int = int | Callable[[Env], int]  # an operand run on Python ints: a constant, or int code
+_INT_COST = 15  # the most nodes int code runs: a fault runs each level's int code again
 
 
 def _div(a: int, b: int) -> int:
@@ -236,13 +239,15 @@ class _Evaluator:
     once on entry, with the pure operands it evaluates first. A charge that
     the fuel left does not cover calls `short`, which never returns; to find
     where the run stops, each node is compiled `at` charges into its charge.
+    `_bop` runs a small pure operator tree on ints, and exact code if that fails.
     """
 
-    __slots__ = ("store", "fuel", "env")
+    __slots__ = ("store", "fuel", "env", "ints")
 
     def __init__(self, store: Store, fuel: int):
         self.store, self.fuel = store, fuel
         self.env: Env = {}  # the env the last `let` or statement chain to finish left
+        self.ints: dict[Code, Int] = {}  # the int code of each arithmetic operator on ints
 
     def short(self, env: Env, at: int, first: tuple[Code, ...]) -> NoReturn:
         """End a run short of a charge at `at + 1`: where the pure codes it covers stop."""
@@ -280,20 +285,16 @@ class _Evaluator:
     # One compile rule per node type: _RULES maps class Num to method _num, and so on.
 
     def _num(self, e: Num, level: int, at: int) -> Compiled:
-        v = IntV(int(e.literal))
-        return (lambda env: v), 1
+        return (lambda env, v=IntV(int(e.literal)): v), 1
 
     def _bool(self, e: Bool, level: int, at: int) -> Compiled:
-        v = _BOOL(e.value)
-        return (lambda env: v), 1
+        return (lambda env, v=_BOOL(e.value): v), 1
 
     def _unit(self, e: Unit, level: int, at: int) -> Compiled:
         return (lambda env: UNIT), 1
 
     def _var(self, e: Var, level: int, at: int) -> Compiled:
-        name, pos, k = e.name, e.pos, at + 1
-
-        def var(env: Env) -> Value:
+        def var(env: Env, name=e.name, pos=e.pos, k=at + 1) -> Value:
             try:
                 return env[name]
             except KeyError:
@@ -301,19 +302,53 @@ class _Evaluator:
         return var, 1
 
     def _bop(self, e: Bop, level: int, at: int) -> Compiled:
+        lhs, n1, x = self._operand(e.lhs, level + 1, at + 1)
+        rhs, n2, y = self._operand(e.rhs, level + 1, at + 1 + n1)
+        op, wrap = _OPS[e.op]
+        # Int code cannot compare two booleans, which == of two names may do.
+        bools = op is operator.eq and type(e.lhs) in (Var, Deref) and type(e.rhs) in (Var, Deref)
+        if x is None or y is None or bools or n1 + n2 >= _INT_COST:
+            return self._exact_bop(e, level, at, lhs, n1, rhs, n2)
+        # Int code binds a right literal and takes defaults, not cells: compiling it makes no cell.
+        if type(x) is int:
+            x = lambda env, x=x: x
+        if type(y) is int:
+            raw = lambda env, x=x, y=y, op=op: op(x(env), y)
+        else:
+            raw = lambda env, x=x, y=y, op=op: op(x(env), y(env))
+
+        def code(env: Env, raw=raw, wrap=wrap, again=(self, e, level, at, lhs, n1, rhs, n2)):
+            try:
+                return wrap(raw(env))  # boxed once, at the root
+            except (KeyError, AttributeError, ZeroDivisionError):  # the exact code faults
+                return _Evaluator._exact_bop(*again)[0](env)
+        if wrap is IntV:  # a bigger tree may take it as an operand
+            self.ints[code] = raw
+        return code, 1 + n1 + n2
+
+    def _operand(self, e: Expr, level: int, at: int) -> tuple[Code | None, int, Int | None]:
+        """An operand's code (None for a leaf read as an int), cost and int code, if any."""
+        if level < _MAX_DEPTH:
+            if type(e) is Num:
+                return None, 1, int(e.literal)
+            if type(e) is Var:
+                return None, 1, lambda env, name=e.name: env[name].n
+            if type(e) is Deref:
+                return None, 1, lambda env, name=e.name, data=self.store.data: data[env[name].loc].n
+        code, n = self.compile(e, level, at)
+        return code, n, self.ints.pop(code, None)
+
+    def _exact_bop(self, e: Bop, level: int, at: int, lhs, n1: int, rhs, n2: int) -> Compiled:
+        """The operator's exact code: it tests and unwraps each operand's value."""
+        lhs = lhs or self.compile(e.lhs, level + 1, at + 1)[0]
+        rhs = rhs or self.compile(e.rhs, level + 1, at + 1 + n1)[0]
         pos, (op, wrap) = e.pos, _OPS[e.op]
-        lhs, n1 = self.compile(e.lhs, level + 1, at + 1)
-        rhs, n2 = self.compile(e.rhs, level + 1, at + 1 + n1)
         k, pure = at + 1 + n1 + n2, n1 and n2  # a pure operator faults after its last charge
         if not pure:  # its charge covers a pure left operand; a pure right one pays its own
             rhs, first = self.charged(rhs, n2, at + 1 + n1), (lhs,) if n1 else ()
-        # A literal operand under this charge is read here, once: its code ignores the env.
-        near = level + 1 < _MAX_DEPTH  # so the operands are not stops
-        c1 = lhs(None) if near and isinstance(e.lhs, (Num, Bool, Unit)) else None
-        c2 = rhs(None) if near and pure and isinstance(e.rhs, (Num, Bool, Unit)) else None
 
         def bop(env: Env) -> Value:
-            v1, v2 = c1 or lhs(env), c2 or rhs(env)
+            v1, v2 = lhs(env), rhs(env)
             if isinstance(v1, IntV) and isinstance(v2, IntV):
                 try:
                     return wrap(op(v1.n, v2.n))
@@ -460,9 +495,7 @@ class _Evaluator:
         return ref, 0
 
     def _deref(self, e: Deref, level: int, at: int) -> Compiled:
-        data, name, pos, k = self.store.data, e.name, e.pos, at + 1
-
-        def deref(env: Env) -> Value:
+        def deref(env: Env, data=self.store.data, name=e.name, pos=e.pos, k=at + 1) -> Value:
             try:
                 return data[env[name].loc]
             except (KeyError, AttributeError):  # unbound, not a location, or not in the store

@@ -166,6 +166,10 @@ class BinOp(Enum):
     LT = "<"
     GT = ">"
 
+    # Members are singletons, so hash by identity: Enum's own __hash__ is a
+    # Python-level call, paid on every lookup in a table keyed by operator.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True, slots=True)
 class Expr:

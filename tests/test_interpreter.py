@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+import random
 
 import pytest
 
@@ -22,7 +23,11 @@ from rescheck import (
     pretty_value,
     run_program,
 )
-from rescheck import interpreter, syntax
+from rescheck import LOW, interpreter, syntax
+from rescheck.harness import GenConfig, gen_lowequiv_states, gen_tenv, gen_welltyped
+
+import astgen
+from test_eval_golden import start_state
 
 FUEL = 10_000
 
@@ -325,8 +330,25 @@ CONSUMER_FAULTS = [
     ("while", "while !c < 2 + (x * nope) { c := !c + 1 }", 8, FaultKind.UNBOUND_VAR, 21),
     ("while", "while !c < 2 + (x * !x) { c := !c + 1 }", 8, FaultKind.NOT_A_LOC, 21),
     ("while", "while !c < 2 + (x * (7 / (1 - !c))) { c := !c + 1 }", 28, FaultKind.DIV_BY_ZERO, 22),
+    # Faults that code on Python ints meets two operators deep, recorded with
+    # every operator running its exact code and labelled by rule and cause: a
+    # Boolean operand, a comparison under arithmetic, a variable and a literal
+    # divisor of zero, an unbound dereference.
+    ("let-bool", "let z = 1 + (x * b)\nz", 7, FaultKind.NOT_AN_INT, 14),
+    ("let-cmp-left", "let z = (1 < 2) + 1\nz", 7, FaultKind.NOT_AN_INT, 9),
+    ("let-cmp-right", "let z = x + (o < 4)\nz", 7, FaultKind.NOT_AN_INT, 9),
+    ("assign-cmp", "r := (x < o) + (1 * x)", 8, FaultKind.NOT_AN_INT, 6),
+    ("ref-var-divisor", "ref(1 + (x / o))", 6, FaultKind.DIV_BY_ZERO, 10),
+    ("if-literal-divisor", "if 0 < 1 + (x / 0) { 1 } else { 2 }", 8, FaultKind.DIV_BY_ZERO, 13),
+    ("app-literal-quotient", "f (x + (1 / 0))", 7, FaultKind.DIV_BY_ZERO, 9),
+    ("for-unbound-deref", "for i in 1 + (x * !nope) to 3 { 0 }", 6, FaultKind.UNBOUND_VAR, 19),
+    ("bop-bool", "(1 + (x * b)) + f 1", 6, FaultKind.NOT_AN_INT, 7),
+    ("while-bool", "while !c < 2 + (x * b) { c := !c + 1 }", 8, FaultKind.NOT_AN_INT, 17),
 ]
-CONSUMER_ENV = {"x": IntV(1), "r": LocV(0), "c": LocV(1), "f": ClosV(syntax.Var("y"), "y", {})}
+CONSUMER_ENV = {
+    "x": IntV(1), "o": IntV(0), "b": BoolV(True), "r": LocV(0), "c": LocV(1),
+    "f": ClosV(syntax.Var("y"), "y", {}),
+}
 
 
 def consumer_store():
@@ -537,6 +559,138 @@ class TestCompile:
             assert out.value == IntV(1 + k)
         else:
             assert out == DepthExceeded(2500)
+
+
+def exact_operand(self, e, level, at):
+    """`_Evaluator._operand` with no int code, so every operator runs its exact code."""
+    code, n = self.compile(e, level, at)
+    return code, n, None
+
+
+def at_every_fuel(e, env, store, top=300):
+    """The outcomes of `e` at every fuel up to its cost + 1, or up to `top` + 1
+    if it costs more, and at its cost and cost + 1: the least fuel that does
+    not give FuelExhausted, found by bisection, or 20,000 if it is more."""
+    def out(fuel):
+        return evaluate(e, dict(env), store.copy(), fuel)
+
+    lo, hi = 0, 20_000  # FuelExhausted at lo; the cost is at most hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if isinstance(out(mid), FuelExhausted) else (lo, mid)
+    fuels = [*range(min(hi, top) + 2), hi, hi + 1]
+    return [(fuel, out(fuel)) for fuel in fuels]
+
+
+class TestIntCode:
+    """A pure operator tree runs on Python ints, and its exact code runs only
+    where that fails. Each test takes the outcomes with the exact code alone
+    as the reference, by patching out the int code."""
+
+    def test_generated_trees_and_programs_match_the_exact_code(self, monkeypatch):
+        runs = []
+        for seed in range(600):  # astgen trees mix every form, typed or not
+            env, store = start_state()
+            runs.append((astgen.gen_expr(random.Random(seed), 1 + seed % 5), env, store))
+        for seed in range(150):  # programs of the NI harness, from both of their states
+            cfg = GenConfig(rng_seed=seed)
+            tenv = gen_tenv(cfg)
+            prog = gen_welltyped(cfg, tenv, LOW)
+            runs += [(prog, s.env, s.store) for s in gen_lowequiv_states(cfg, tenv)]
+        ints = [at_every_fuel(*run) for run in runs]
+        monkeypatch.setattr(interpreter._Evaluator, "_operand", exact_operand)
+        exact = [at_every_fuel(*run) for run in runs]
+        assert sum(map(len, ints)) > 15_000
+        for run, got, want in zip(runs, ints, exact):
+            assert got == want, syntax.pretty(run[0])
+        kinds = {type(o) for outs in ints for _, o in outs}
+        assert kinds == {Ok, RuntimeFault, FuelExhausted}
+
+    @pytest.mark.parametrize(
+        "src, cost, value",
+        [
+            ("let z = (2 + 3) * (7 - 4) / 2\nz", 12, IntV(7)),
+            ("let z = 1 + 2 * 3 == 7\nz", 10, BoolV(True)),
+            ("let z = x + 2 * 3\nz", 8, IntV(7)),
+            ("let z = (true == false) == (x < 2)\nz", 10, BoolV(False)),
+            ("let z = b == b\nz", 6, BoolV(True)),
+            ("let z = !r - (x * (o - 4))\nz", 10, IntV(4)),
+        ],
+        ids=["literals", "literal-comparison", "literal-operand", "boolean-==",
+             "==-of-two-names", "deref-and-vars"],
+    )
+    def test_a_value_at_every_fuel(self, src, cost, value, monkeypatch):
+        # costs and values recorded with every operator running its exact code
+        def outs():
+            return [evaluate(parse(src), dict(CONSUMER_ENV), consumer_store(), f)
+                    for f in range(cost + 2)]
+
+        ints = outs()
+        assert all(isinstance(o, FuelExhausted) for o in ints[:cost])
+        assert [o.value for o in ints[cost:]] == [value, value]
+        monkeypatch.setattr(interpreter._Evaluator, "_operand", exact_operand)
+        assert ints == outs()
+
+    @pytest.mark.parametrize(
+        "src, level, last",
+        [
+            ("x + (x * 2)", 2496, IntV(3)),
+            ("x + (x * 2)", 2497, IntV(3)),  # the leaves of `x * 2` run at 2,499
+            ("x + (x * 2)", 2498, DepthExceeded(2500)),  # and here at 2,500
+            ("x + (nope * 2)", 2497, RuntimeFault(FaultKind.UNBOUND_VAR, syntax.Pos(1, 6))),
+            ("x + (nope * 2)", 2498, DepthExceeded(2500)),
+            ("(x * 2) + nope", 2498, DepthExceeded(2500)),
+        ],
+    )
+    def test_a_tree_whose_leaves_sit_at_the_depth_limit(self, src, level, last, monkeypatch):
+        e = parse(src)
+
+        def outs():  # the value or outcome of `e` compiled `level` deep, at fuel 0 to 6
+            got = []
+            for fuel in range(7):
+                ev = interpreter._Evaluator(consumer_store(), fuel)
+                try:
+                    got.append(ev.charged(*ev.compile(e, level))(dict(CONSUMER_ENV)))
+                except interpreter._Stop as stop:
+                    got.append(stop.outcome)
+            return got
+
+        ints = outs()
+        assert ints[0] == FuelExhausted() and ints[-1] == last
+        monkeypatch.setattr(interpreter._Evaluator, "_operand", exact_operand)
+        assert ints == outs()
+
+    def test_the_run_loops_shapes_build_no_exact_code_for_a_pure_operator(self, monkeypatch):
+        # run-loops' five loop shapes: every pure operator in them runs on ints,
+        # so only the impure `!acc + f i` builds exact operator code
+        loops = [
+            ("let acc = ref(5)\nfor i in 1 to 30 { acc := !acc + i * 3 }\n!acc",
+             5 + 3 * sum(range(31)), []),
+            ("let n = ref(30)\nlet s = ref(5)\nwhile 0 < !n { s := !s + !n * 3; n := !n - 1 }\n!s",
+             5 + 3 * sum(range(31)), []),
+            ("let acc = ref(5)\nfor i in 1 to 30 {\n"
+             "  if i / 4 * 4 == i { acc := !acc + i } else { acc := !acc - 1 }\n}\n!acc",
+             5 + sum(i if i % 4 == 0 else -1 for i in range(1, 31)), []),
+            ("let f = (x: low) => x * 3 + 5\nlet acc = ref(0)\n"
+             "for i in 1 to 30 { acc := !acc + f i }\n!acc",
+             sum(3 * i + 5 for i in range(1, 31)), ["!acc + f i"]),
+            ("let acc = ref(0)\nfor i in 1 to 4 { for j in 1 to 5 { acc := !acc + i * j + 5 } }\n"
+             "!acc",
+             sum(i * j + 5 for i in range(1, 5) for j in range(1, 6)), []),
+        ]
+        built = []
+        exact_bop = interpreter._Evaluator._exact_bop
+
+        def counted(self, e, *rest):
+            built.append(syntax.pretty(e))
+            return exact_bop(self, e, *rest)
+
+        monkeypatch.setattr(interpreter._Evaluator, "_exact_bop", counted)
+        for src, value, impure in loops:
+            built.clear()
+            out = run(src)
+            assert isinstance(out, Ok) and out.value == IntV(value), src
+            assert built == impure, src
 
 
 class TestRunProgram:

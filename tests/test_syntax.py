@@ -271,6 +271,27 @@ class TestRecords:
     def test_levels_hash_to_their_own_integers(self):
         assert [hash(LOW), hash(HIGH), hash(EMPTY)] == [1, 2, 3]
 
+    def test_an_operator_hashes_with_no_python_call(self):
+        # The interpreter, the parser and `pretty` look operators up in
+        # tables; Enum's own __hash__ would be a Python call per lookup.
+        e = parse("x * 2 < x + 1")
+        hashes = []
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "__hash__":
+                hashes.append(frame.f_code.co_filename)
+
+        sys.setprofile(hook)
+        try:
+            text = pretty(e)
+            out = rescheck.evaluate(e, {"x": rescheck.IntV(3)}, rescheck.Store(), 10)
+        finally:
+            sys.setprofile(None)
+        assert hashes == []
+        assert text == "x * 2 < x + 1" and out.value == rescheck.BoolV(False)
+        for op in BinOp:
+            assert pickle.loads(pickle.dumps(op)) is op
+
 
 class TestPretty:
     def test_atoms(self):
