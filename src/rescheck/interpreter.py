@@ -20,7 +20,7 @@ pure operands) writes and allocates nothing and charges one per node in a
 fixed order. So its code takes no fuel, and its node count is charged in one
 step, by the rule that evaluates it first after its own charge or else by
 one wrapper, with the outcome of one charge per node at every fuel. Small
-operator trees run on Python ints, boxed once; a failure reruns them exactly.
+operator trees run on Python ints; a failure reruns them exactly.
 
 Nesting depth is its own outcome. Evaluation that nests deeper than
 `_MAX_DEPTH` rule applications ends in DepthExceeded, not FuelExhausted:
@@ -49,13 +49,13 @@ from .syntax import (
 
 
 class Value:
+    """Every runtime value is a record but an integer, a Python `int`: `IntV`."""
+
     __slots__ = ()
     __init_subclass__ = record
 
 
-class IntV(Value):
-    __slots__ = ("n",)
-    n: int
+IntV = int  # so `IntV(3)`, `isinstance(v, IntV)` and `case IntV(n)` name an int value
 
 
 class BoolV(Value):
@@ -85,7 +85,6 @@ class ClosV(Value):
 
 
 UNIT = UnitV()
-
 Env = dict[str, Value]
 
 
@@ -213,16 +212,15 @@ def _div(a: int, b: int) -> int:
     return q if (a >= 0) == (b >= 0) else -q
 
 
-# Each operator on two integers, and the value its result is wrapped in. Only
-# == also takes two booleans.
+# Each operator on two ints, and whether it compares them. Only == also takes two booleans.
 _OPS = {
-    BinOp.ADD: (operator.add, IntV),
-    BinOp.SUB: (operator.sub, IntV),
-    BinOp.MUL: (operator.mul, IntV),
-    BinOp.DIV: (_div, IntV),
-    BinOp.EQ: (operator.eq, _BOOL),
-    BinOp.LT: (operator.lt, _BOOL),
-    BinOp.GT: (operator.gt, _BOOL),
+    BinOp.ADD: (operator.add, False),
+    BinOp.SUB: (operator.sub, False),
+    BinOp.MUL: (operator.mul, False),
+    BinOp.DIV: (_div, False),
+    BinOp.EQ: (operator.eq, True),
+    BinOp.LT: (operator.lt, True),
+    BinOp.GT: (operator.gt, True),
 }
 
 
@@ -285,7 +283,7 @@ class _Evaluator:
     # One compile rule per node type: _RULES maps class Num to method _num, and so on.
 
     def _num(self, e: Num, level: int, at: int) -> Compiled:
-        return (lambda env, v=IntV(int(e.literal)): v), 1
+        return (lambda env, v=int(e.literal): v), 1
 
     def _bool(self, e: Bool, level: int, at: int) -> Compiled:
         return (lambda env, v=_BOOL(e.value): v), 1
@@ -304,11 +302,13 @@ class _Evaluator:
     def _bop(self, e: Bop, level: int, at: int) -> Compiled:
         lhs, n1, x = self._operand(e.lhs, level + 1, at + 1)
         rhs, n2, y = self._operand(e.rhs, level + 1, at + 1 + n1)
-        op, wrap = _OPS[e.op]
+        op, test = _OPS[e.op]
         # Int code cannot compare two booleans, which == of two names may do.
         bools = op is operator.eq and type(e.lhs) in (Var, Deref) and type(e.rhs) in (Var, Deref)
         if x is None or y is None or bools or n1 + n2 >= _INT_COST:
             return self._exact_bop(e, level, at, lhs, n1, rhs, n2)
+        if op is operator.eq:  # == takes a non-int, which + and < refuse: `index` refuses it too
+            op = lambda a, b: operator.index(a) == operator.index(b)
         # Int code binds a right literal and takes defaults, not cells: compiling it makes no cell.
         if type(x) is int:
             x = lambda env, x=x: x
@@ -317,12 +317,12 @@ class _Evaluator:
         else:
             raw = lambda env, x=x, y=y, op=op: op(x(env), y(env))
 
-        def code(env: Env, raw=raw, wrap=wrap, again=(self, e, level, at, lhs, n1, rhs, n2)):
+        def code(env: Env, raw=raw, test=test, again=(self, e, level, at, lhs, n1, rhs, n2)):
             try:
-                return wrap(raw(env))  # boxed once, at the root
-            except (KeyError, AttributeError, ZeroDivisionError):  # the exact code faults
+                return _BOOL(raw(env)) if test else raw(env)
+            except (KeyError, AttributeError, TypeError, ZeroDivisionError):  # exact code faults
                 return _Evaluator._exact_bop(*again)[0](env)
-        if wrap is IntV:  # a bigger tree may take it as an operand
+        if not test:  # a bigger tree may take it as an operand
             self.ints[code] = raw
         return code, 1 + n1 + n2
 
@@ -332,26 +332,26 @@ class _Evaluator:
             if type(e) is Num:
                 return None, 1, int(e.literal)
             if type(e) is Var:
-                return None, 1, lambda env, name=e.name: env[name].n
+                return None, 1, operator.itemgetter(e.name)
             if type(e) is Deref:
-                return None, 1, lambda env, name=e.name, data=self.store.data: data[env[name].loc].n
+                return None, 1, lambda env, name=e.name, data=self.store.data: data[env[name].loc]
         code, n = self.compile(e, level, at)
         return code, n, self.ints.pop(code, None)
 
     def _exact_bop(self, e: Bop, level: int, at: int, lhs, n1: int, rhs, n2: int) -> Compiled:
-        """The operator's exact code: it tests and unwraps each operand's value."""
+        """The operator's exact code: it tests each operand's value."""
         lhs = lhs or self.compile(e.lhs, level + 1, at + 1)[0]
         rhs = rhs or self.compile(e.rhs, level + 1, at + 1 + n1)[0]
-        pos, (op, wrap) = e.pos, _OPS[e.op]
+        pos, (op, test) = e.pos, _OPS[e.op]
         k, pure = at + 1 + n1 + n2, n1 and n2  # a pure operator faults after its last charge
         if not pure:  # its charge covers a pure left operand; a pure right one pays its own
             rhs, first = self.charged(rhs, n2, at + 1 + n1), (lhs,) if n1 else ()
 
         def bop(env: Env) -> Value:
             v1, v2 = lhs(env), rhs(env)
-            if isinstance(v1, IntV) and isinstance(v2, IntV):
+            if type(v1) is int and type(v2) is int:
                 try:
-                    return wrap(op(v1.n, v2.n))
+                    return _BOOL(op(v1, v2)) if test else op(v1, v2)
                 except ZeroDivisionError:
                     raise _Stop(RuntimeFault(FaultKind.DIV_BY_ZERO, pos), k) from None
             if op is operator.eq and isinstance(v1, BoolV) and isinstance(v2, BoolV):
@@ -416,10 +416,9 @@ class _Evaluator:
 
         def for_(env: Env) -> Value:
             ev.fuel -= 1 if ev.fuel >= 1 else ev.short(env, 0, ())
-            v1, v2 = start(env), stop(env)
-            if not isinstance(v1, IntV) or not isinstance(v2, IntV):
+            a, b = start(env), stop(env)
+            if type(a) is not int or type(b) is not int:
                 raise _Stop(RuntimeFault(FaultKind.NOT_AN_INT, pos))
-            a, b = v1.n, v2.n
             if a > b:
                 raise _Stop(RuntimeFault(FaultKind.FOR_BOUNDS_INVALID, pos))
             # The recursive rule peels the upper bound: each level below the
@@ -429,7 +428,7 @@ class _Evaluator:
             ev.fuel -= 3 * (b - a)
             local = dict(env)  # the loop's own env: each iteration rebinds x in it
             for i in range(a, b + 1):
-                local[x] = IntV(i)
+                local[x] = i
                 body(local)
             return UNIT
         return for_, 0

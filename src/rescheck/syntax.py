@@ -16,14 +16,15 @@ def record(cls: type) -> type:
     dataclass with no `__dict__`. `Pos` is decorated with it; `SecType`,
     `Expr` and `Value` set it as their `__init_subclass__`, so every
     security type, node and runtime value is built here when its class is
-    made. Its `__init__` takes the fields in order, then keyword-only `pos`
-    for a node (a class that inherits `Expr`'s `pos` field), and fills each
-    slot through the slot's own setter, not the frozen `__setattr__`; for the
-    same reason a record that is not a node pickles by its fields (`Expr` has
-    state methods from `dataclass(slots=True)`). Slots are named in the class
-    body because `dataclass(slots=True)` would build a second class: its
-    frozen `__setattr__` would answer a new attribute with a TypeError, and
-    the first class would stay among its base's `__subclasses__()`."""
+    made, except an int value, which is a plain Python `int`. Its `__init__`
+    takes the fields in order, then keyword-only `pos` for a node (a class
+    that inherits `Expr`'s `pos` field), and fills each slot through the
+    slot's own setter, not the frozen `__setattr__`; for the same reason a
+    record that is not a node pickles by its fields (`Expr` has state methods
+    from `dataclass(slots=True)`). Slots are named in the class body because
+    `dataclass(slots=True)` would build a second class: its frozen
+    `__setattr__` would answer a new attribute with a TypeError, and the
+    first class would stay among its base's `__subclasses__()`."""
     types = cls.__dict__.get("__annotations__", {})
     node = "pos" in getattr(cls, "__dataclass_fields__", ())
     slots = [*types, "pos"] if node else list(types)

@@ -56,12 +56,12 @@ class TestValues:
         assert pretty_value(LocV(2)) == "ℓ2"
 
     def test_values_are_frozen(self):
-        for v, field in ((IntV(3), "n"), (BoolV(True), "b"), (value_of("1 < 2"), "b")):
+        for v, field in ((BoolV(True), "b"), (value_of("1 < 2"), "b")):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(v, field, 0)
 
     @pytest.mark.parametrize(
-        "v", [IntV(3), BoolV(True), LocV(0), ClosV(parse("x"), "x", {"y": IntV(1)})], ids=repr
+        "v", [BoolV(True), LocV(0), ClosV(parse("x"), "x", {"y": IntV(1)})], ids=repr
     )
     def test_values_are_slotted_and_reject_new_attributes(self, v):
         assert not hasattr(v, "__dict__")
@@ -73,6 +73,28 @@ class TestValues:
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             got = pickle.loads(pickle.dumps(v, protocol))
             assert type(got) is type(v) and got == v
+
+    def test_int_values_are_plain_ints(self):
+        # every other value is a record; an int is a Python int, never a bool,
+        # whether it is built, read from a literal, computed, or a loop's counter
+        src = "let r = ref(0)\nfor i in 1 to 3 { r := i }\n!r"
+        for v in (IntV(3), value_of("3"), value_of("1 + 2"), value_of("7 / 2 + 0 * x", env={"x": 1}),
+                  value_of(src)):
+            assert type(v) is int and isinstance(v, IntV) and v == 3 and hash(v) == hash(3)
+            with pytest.raises(AttributeError):
+                v.n = 0
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                got = pickle.loads(pickle.dumps(v, protocol))
+                assert type(got) is int and got == v
+            match v:
+                case BoolV():
+                    pytest.fail("an int matched BoolV")
+                case IntV(n):
+                    assert n == 3
+                case _:
+                    pytest.fail("no pattern matched")
+        assert type(value_of("1 < 2")) is BoolV and type(value_of("1 == 1")) is BoolV
+        assert IntV(1) != BoolV(True) and BoolV(True) != IntV(1) and IntV(0) != BoolV(False)
 
     def test_unit_value_is_slotted_and_rejects_new_attributes(self):
         assert not hasattr(UnitV(), "__dict__")
@@ -88,7 +110,7 @@ class TestValues:
         assert {IntV(5): "five", BoolV(False): "no"}[value_of("2 + 3")] == "five"
 
     def test_value_reprs(self):
-        assert repr(IntV(-4)) == "IntV(n=-4)"
+        assert repr(IntV(-4)) == "-4"
         assert repr(value_of("true == false")) == "BoolV(b=False)"
 
     def test_match_patterns_bind(self):
@@ -344,6 +366,13 @@ CONSUMER_FAULTS = [
     ("for-unbound-deref", "for i in 1 + (x * !nope) to 3 { 0 }", 6, FaultKind.UNBOUND_VAR, 19),
     ("bop-bool", "(1 + (x * b)) + f 1", 6, FaultKind.NOT_AN_INT, 7),
     ("while-bool", "while !c < 2 + (x * b) { c := !c + 1 }", 8, FaultKind.NOT_AN_INT, 17),
+    # == takes any two values without raising, so int code must refuse a
+    # non-int name it compares: a Boolean, one behind a ref, a closure, unit.
+    # Each cost and column is the one the exact code gives.
+    ("eq-bool", "let b = true; b == 1", 6, FaultKind.NOT_AN_INT, 15),
+    ("eq-bool-deref", "let rb = ref(true); 1 == !rb", 7, FaultKind.NOT_AN_INT, 21),
+    ("eq-closure", "f == 2", 3, FaultKind.NOT_AN_INT, 1),
+    ("eq-unit", "let u = (); u == 0", 6, FaultKind.NOT_AN_INT, 13),
 ]
 CONSUMER_ENV = {
     "x": IntV(1), "o": IntV(0), "b": BoolV(True), "r": LocV(0), "c": LocV(1),
