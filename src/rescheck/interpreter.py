@@ -19,8 +19,7 @@ A pure expression (a literal, variable or dereference, or an operator over
 pure operands) writes and allocates nothing and charges one per node in a
 fixed order. So its code takes no fuel, and its node count is charged in one
 step, by the rule that evaluates it first after its own charge or else by
-one wrapper, with the outcome of one charge per node at every fuel. Small
-operator trees run on Python ints; a failure reruns them exactly.
+one wrapper, with the outcome of one charge per node at every fuel.
 
 Nesting depth is its own outcome. Evaluation that nests deeper than
 `_MAX_DEPTH` rule applications ends in DepthExceeded, not FuelExhausted:
@@ -203,8 +202,6 @@ DEFAULT_FUEL = 10000  # the step budget of a run that names none
 
 Code = Callable[[Env], Value]
 Compiled = tuple[Code, int]  # a node's code, and its cost if it is pure, else 0
-Int = int | Callable[[Env], int]  # an operand run on Python ints: a constant, or int code
-_INT_COST = 15  # the most nodes int code runs: a fault runs each level's int code again
 
 
 def _div(a: int, b: int) -> int:
@@ -212,16 +209,31 @@ def _div(a: int, b: int) -> int:
     return q if (a >= 0) == (b >= 0) else -q
 
 
-# Each operator on two ints, and whether it compares them. Only == also takes two booleans.
+def _eq(a: Value, b: Value) -> BoolV:
+    if type(a) is type(b) and type(a) in (int, BoolV):
+        return _BOOL(a == b)
+    raise TypeError("== takes two ints or two booleans")
+
+
+# Each operator on two values: it raises TypeError unless both are ints, or, for ==, booleans.
 _OPS = {
-    BinOp.ADD: (operator.add, False),
-    BinOp.SUB: (operator.sub, False),
-    BinOp.MUL: (operator.mul, False),
-    BinOp.DIV: (_div, False),
-    BinOp.EQ: (operator.eq, True),
-    BinOp.LT: (operator.lt, True),
-    BinOp.GT: (operator.gt, True),
+    BinOp.ADD: operator.add,
+    BinOp.SUB: operator.sub,
+    BinOp.MUL: operator.mul,
+    BinOp.DIV: _div,
+    BinOp.EQ: _eq,
+    BinOp.LT: lambda a, b: _BOOL(a < b),
+    BinOp.GT: lambda a, b: _BOOL(a > b),
 }
+
+
+def _fault(exc: Exception, env: Env, pos: Pos | None, k: int, lhs: Code, rhs: Code) -> NoReturn:
+    """Stop the run at the fault behind `exc`, raised by an operator's code: a
+    raw read's, where the checked code `lhs` and `rhs` stops, or the operator's."""
+    if isinstance(exc, KeyError):  # one of them stops at its unbound variable
+        lhs(env), rhs(env)
+    kind = FaultKind.DIV_BY_ZERO if isinstance(exc, ZeroDivisionError) else FaultKind.NOT_AN_INT
+    raise _Stop(RuntimeFault(kind, pos), k) from None
 
 
 class _Evaluator:
@@ -237,15 +249,14 @@ class _Evaluator:
     once on entry, with the pure operands it evaluates first. A charge that
     the fuel left does not cover calls `short`, which never returns; to find
     where the run stops, each node is compiled `at` charges into its charge.
-    `_bop` runs a small pure operator tree on ints, and exact code if that fails.
+    `_fault` turns what an operator's raw reads or `_OPS` function raise into a fault.
     """
 
-    __slots__ = ("store", "fuel", "env", "ints")
+    __slots__ = ("store", "fuel", "env")
 
     def __init__(self, store: Store, fuel: int):
         self.store, self.fuel = store, fuel
         self.env: Env = {}  # the env the last `let` or statement chain to finish left
-        self.ints: dict[Code, Int] = {}  # the int code of each arithmetic operator on ints
 
     def short(self, env: Env, at: int, first: tuple[Code, ...]) -> NoReturn:
         """End a run short of a charge at `at + 1`: where the pure codes it covers stop."""
@@ -300,64 +311,39 @@ class _Evaluator:
         return var, 1
 
     def _bop(self, e: Bop, level: int, at: int) -> Compiled:
-        lhs, n1, x = self._operand(e.lhs, level + 1, at + 1)
-        rhs, n2, y = self._operand(e.rhs, level + 1, at + 1 + n1)
-        op, test = _OPS[e.op]
-        # Int code cannot compare two booleans, which == of two names may do.
-        bools = op is operator.eq and type(e.lhs) in (Var, Deref) and type(e.rhs) in (Var, Deref)
-        if x is None or y is None or bools or n1 + n2 >= _INT_COST:
-            return self._exact_bop(e, level, at, lhs, n1, rhs, n2)
-        if op is operator.eq:  # == takes a non-int, which + and < refuse: `index` refuses it too
-            op = lambda a, b: operator.index(a) == operator.index(b)
-        # Int code binds a right literal and takes defaults, not cells: compiling it makes no cell.
-        if type(x) is int:
-            x = lambda env, x=x: x
-        if type(y) is int:
-            raw = lambda env, x=x, y=y, op=op: op(x(env), y)
-        else:
-            raw = lambda env, x=x, y=y, op=op: op(x(env), y(env))
+        lhs, n1 = self.compile(e.lhs, level + 1, at + 1)
+        rhs, n2 = self.compile(e.rhs, level + 1, at + 1 + n1)
+        op, pos, k = _OPS[e.op], e.pos, at + 1 + n1 + n2  # k: where a pure one faults
+        if n1 and n2:  # its code binds a right literal and takes defaults, not cells
+            x, y = self._operand(e.lhs, level + 1, lhs), self._operand(e.rhs, level + 1, rhs)
+            if type(e.rhs) is Num and level + 1 < _MAX_DEPTH:
+                def bop(env: Env, x=x, y=int(e.rhs.literal), op=op, f=(pos, k, lhs, rhs)) -> Value:
+                    try:
+                        return op(x(env), y)
+                    except (KeyError, TypeError, ZeroDivisionError) as exc:
+                        _fault(exc, env, *f)
+            else:
+                def bop(env: Env, x=x, y=y, op=op, f=(pos, k, lhs, rhs)) -> Value:
+                    try:
+                        return op(x(env), y(env))
+                    except (KeyError, TypeError, ZeroDivisionError) as exc:
+                        _fault(exc, env, *f)
+            return bop, k - at
+        # Its charge covers a pure left operand; a pure right one pays its own.
+        first, rhs = (lhs,) if n1 else (), self.charged(rhs, n2, at + 1 + n1)
 
-        def code(env: Env, raw=raw, test=test, again=(self, e, level, at, lhs, n1, rhs, n2)):
+        def impure(env: Env) -> Value:
+            v1, v2 = lhs(env), rhs(env)  # outside the `try`: what they raise is their own
             try:
-                return _BOOL(raw(env)) if test else raw(env)
-            except (KeyError, AttributeError, TypeError, ZeroDivisionError):  # exact code faults
-                return _Evaluator._exact_bop(*again)[0](env)
-        if not test:  # a bigger tree may take it as an operand
-            self.ints[code] = raw
-        return code, 1 + n1 + n2
+                return op(v1, v2)
+            except (TypeError, ZeroDivisionError) as exc:
+                _fault(exc, env, pos, k, lhs, rhs)
+        return self.charged(impure, 1 + n1, at, first), 0
 
-    def _operand(self, e: Expr, level: int, at: int) -> tuple[Code | None, int, Int | None]:
-        """An operand's code (None for a leaf read as an int), cost and int code, if any."""
-        if level < _MAX_DEPTH:
-            if type(e) is Num:
-                return None, 1, int(e.literal)
-            if type(e) is Var:
-                return None, 1, operator.itemgetter(e.name)
-            if type(e) is Deref:
-                return None, 1, lambda env, name=e.name, data=self.store.data: data[env[name].loc]
-        code, n = self.compile(e, level, at)
-        return code, n, self.ints.pop(code, None)
-
-    def _exact_bop(self, e: Bop, level: int, at: int, lhs, n1: int, rhs, n2: int) -> Compiled:
-        """The operator's exact code: it tests each operand's value."""
-        lhs = lhs or self.compile(e.lhs, level + 1, at + 1)[0]
-        rhs = rhs or self.compile(e.rhs, level + 1, at + 1 + n1)[0]
-        pos, (op, test) = e.pos, _OPS[e.op]
-        k, pure = at + 1 + n1 + n2, n1 and n2  # a pure operator faults after its last charge
-        if not pure:  # its charge covers a pure left operand; a pure right one pays its own
-            rhs, first = self.charged(rhs, n2, at + 1 + n1), (lhs,) if n1 else ()
-
-        def bop(env: Env) -> Value:
-            v1, v2 = lhs(env), rhs(env)
-            if type(v1) is int and type(v2) is int:
-                try:
-                    return _BOOL(op(v1, v2)) if test else op(v1, v2)
-                except ZeroDivisionError:
-                    raise _Stop(RuntimeFault(FaultKind.DIV_BY_ZERO, pos), k) from None
-            if op is operator.eq and isinstance(v1, BoolV) and isinstance(v2, BoolV):
-                return _BOOL(v1.b == v2.b)
-            raise _Stop(RuntimeFault(FaultKind.NOT_AN_INT, pos), k)
-        return (bop, k - at) if pure else (self.charged(bop, 1 + n1, at, first), 0)
+    def _operand(self, e: Expr, level: int, code: Code) -> Code:
+        """A pure operand's code under an operator, given its checked `code`: a
+        variable is read raw, and a failed read raises KeyError."""
+        return operator.itemgetter(e.name) if type(e) is Var and level < _MAX_DEPTH else code
 
     def _let(self, e: Let, level: int, at: int) -> Compiled:
         ev, name = self, e.name

@@ -125,6 +125,34 @@ class TestValues:
         assert pretty_value(ClosV(parse("x"), "x", {})).startswith("<fun ")
 
 
+# One value of each kind as an operator's left operand, and as its right one
+# (where `zero` is the literal 0). Equal records sit on both sides, so an
+# operator that compared any two values alike would give `true`.
+_CLOSURE = ClosV(syntax.Var("y"), "y", {})
+LEFT_OPERANDS = {
+    "int": IntV(7), "bool": BoolV(True), "unit": UnitV(), "loc": LocV(0), "closure": _CLOSURE,
+}
+RIGHT_OPERANDS = {
+    "int": IntV(-2), "zero": IntV(0), "bool": BoolV(True), "unit": UnitV(), "loc": LocV(0),
+    "closure": _CLOSURE,
+}
+
+# Each operator's outcome on the pairs of kinds it takes: a value, or
+# DivByZero. Every other pair is a NotAnInt fault at the operator.
+OPERATOR_TABLE = {
+    "+": {("int", "int"): IntV(5), ("int", "zero"): IntV(7)},
+    "-": {("int", "int"): IntV(9), ("int", "zero"): IntV(7)},
+    "*": {("int", "int"): IntV(-14), ("int", "zero"): IntV(0)},
+    "/": {("int", "int"): IntV(-3), ("int", "zero"): FaultKind.DIV_BY_ZERO},
+    "<": {("int", "int"): BoolV(False), ("int", "zero"): BoolV(False)},
+    ">": {("int", "int"): BoolV(True), ("int", "zero"): BoolV(True)},
+    "==": {
+        ("int", "int"): BoolV(False), ("int", "zero"): BoolV(False),
+        ("bool", "bool"): BoolV(True),
+    },
+}
+
+
 class TestArithmetic:
     def test_operators(self):
         assert value_of("2 + 3 * 4") == IntV(14)
@@ -145,6 +173,26 @@ class TestArithmetic:
         assert isinstance(out, RuntimeFault)
         assert out.kind == FaultKind.DIV_BY_ZERO
         assert out.at is not None and (out.at.line, out.at.col) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "form", ["a {} {}", "id a {} id {}"], ids=["variables", "applications"]
+    )
+    @pytest.mark.parametrize("op", list(OPERATOR_TABLE))
+    def test_every_operator_on_every_pair_of_value_kinds(self, op, form):
+        # as variables the operator is pure and reads them raw; as the
+        # results of applications it is impure and its operands are checked
+        ident = ClosV(syntax.Var("x"), "x", {})
+        for left, lv in LEFT_OPERANDS.items():
+            for right, rv in RIGHT_OPERANDS.items():
+                src = form.format(op, "0" if right == "zero" else "b")
+                env = {"a": lv, "b": rv, "id": ident}
+                out = run(src, env=env, store=Store({0: IntV(0)}))
+                want = OPERATOR_TABLE[op].get((left, right), FaultKind.NOT_AN_INT)
+                if isinstance(want, FaultKind):
+                    assert out == RuntimeFault(want, syntax.Pos(1, 1)), (src, left, right)
+                else:
+                    assert isinstance(out, Ok), (src, left, right, out)
+                    assert type(out.value) is type(want) and out.value == want, (src, left, right)
 
 
 class TestFaults:
@@ -540,6 +588,13 @@ class TestDispatch:
             evaluate(e, {}, Store(), 10)
         assert str(err.value) == f"not an Expr: {e!r}"
 
+    @pytest.mark.parametrize("src", ["0 + f 1", "f 1 + 0"], ids=["right", "left"])
+    def test_a_non_expr_body_under_an_operator_is_a_type_error(self, src):
+        # the error comes out of the application, not as the operator's fault
+        with pytest.raises(TypeError) as err:
+            run(src, env={"f": ClosV(42, "x", {})})
+        assert str(err.value) == "not an Expr: 42"
+
 
 class TestCompile:
     def body_levels(self, src):
@@ -590,10 +645,9 @@ class TestCompile:
             assert out == DepthExceeded(2500)
 
 
-def exact_operand(self, e, level, at):
-    """`_Evaluator._operand` with no int code, so every operator runs its exact code."""
-    code, n = self.compile(e, level, at)
-    return code, n, None
+def checked_operand(self, e, level, code):
+    """`_Evaluator._operand` that reads no variable raw: every operand runs its checked code."""
+    return code
 
 
 def at_every_fuel(e, env, store, top=300):
@@ -612,9 +666,9 @@ def at_every_fuel(e, env, store, top=300):
 
 
 class TestIntCode:
-    """A pure operator tree runs on Python ints, and its exact code runs only
-    where that fails. Each test takes the outcomes with the exact code alone
-    as the reference, by patching out the int code."""
+    """A pure operator reads a variable operand raw, and runs its checked
+    code only where that read fails. Each test takes the outcomes with
+    checked operands alone as the reference, by patching out the raw reads."""
 
     def test_generated_trees_and_programs_match_the_exact_code(self, monkeypatch):
         runs = []
@@ -626,13 +680,13 @@ class TestIntCode:
             tenv = gen_tenv(cfg)
             prog = gen_welltyped(cfg, tenv, LOW)
             runs += [(prog, s.env, s.store) for s in gen_lowequiv_states(cfg, tenv)]
-        ints = [at_every_fuel(*run) for run in runs]
-        monkeypatch.setattr(interpreter._Evaluator, "_operand", exact_operand)
-        exact = [at_every_fuel(*run) for run in runs]
-        assert sum(map(len, ints)) > 15_000
-        for run, got, want in zip(runs, ints, exact):
+        raw = [at_every_fuel(*run) for run in runs]
+        monkeypatch.setattr(interpreter._Evaluator, "_operand", checked_operand)
+        checked = [at_every_fuel(*run) for run in runs]
+        assert sum(map(len, raw)) > 15_000
+        for run, got, want in zip(runs, raw, checked):
             assert got == want, syntax.pretty(run[0])
-        kinds = {type(o) for outs in ints for _, o in outs}
+        kinds = {type(o) for outs in raw for _, o in outs}
         assert kinds == {Ok, RuntimeFault, FuelExhausted}
 
     @pytest.mark.parametrize(
@@ -649,16 +703,16 @@ class TestIntCode:
              "==-of-two-names", "deref-and-vars"],
     )
     def test_a_value_at_every_fuel(self, src, cost, value, monkeypatch):
-        # costs and values recorded with every operator running its exact code
+        # costs and values recorded with every operator testing its operands' values
         def outs():
             return [evaluate(parse(src), dict(CONSUMER_ENV), consumer_store(), f)
                     for f in range(cost + 2)]
 
-        ints = outs()
-        assert all(isinstance(o, FuelExhausted) for o in ints[:cost])
-        assert [o.value for o in ints[cost:]] == [value, value]
-        monkeypatch.setattr(interpreter._Evaluator, "_operand", exact_operand)
-        assert ints == outs()
+        raw = outs()
+        assert all(isinstance(o, FuelExhausted) for o in raw[:cost])
+        assert [o.value for o in raw[cost:]] == [value, value]
+        monkeypatch.setattr(interpreter._Evaluator, "_operand", checked_operand)
+        assert raw == outs()
 
     @pytest.mark.parametrize(
         "src, level, last",
@@ -684,42 +738,10 @@ class TestIntCode:
                     got.append(stop.outcome)
             return got
 
-        ints = outs()
-        assert ints[0] == FuelExhausted() and ints[-1] == last
-        monkeypatch.setattr(interpreter._Evaluator, "_operand", exact_operand)
-        assert ints == outs()
-
-    def test_the_run_loops_shapes_build_no_exact_code_for_a_pure_operator(self, monkeypatch):
-        # run-loops' five loop shapes: every pure operator in them runs on ints,
-        # so only the impure `!acc + f i` builds exact operator code
-        loops = [
-            ("let acc = ref(5)\nfor i in 1 to 30 { acc := !acc + i * 3 }\n!acc",
-             5 + 3 * sum(range(31)), []),
-            ("let n = ref(30)\nlet s = ref(5)\nwhile 0 < !n { s := !s + !n * 3; n := !n - 1 }\n!s",
-             5 + 3 * sum(range(31)), []),
-            ("let acc = ref(5)\nfor i in 1 to 30 {\n"
-             "  if i / 4 * 4 == i { acc := !acc + i } else { acc := !acc - 1 }\n}\n!acc",
-             5 + sum(i if i % 4 == 0 else -1 for i in range(1, 31)), []),
-            ("let f = (x: low) => x * 3 + 5\nlet acc = ref(0)\n"
-             "for i in 1 to 30 { acc := !acc + f i }\n!acc",
-             sum(3 * i + 5 for i in range(1, 31)), ["!acc + f i"]),
-            ("let acc = ref(0)\nfor i in 1 to 4 { for j in 1 to 5 { acc := !acc + i * j + 5 } }\n"
-             "!acc",
-             sum(i * j + 5 for i in range(1, 5) for j in range(1, 6)), []),
-        ]
-        built = []
-        exact_bop = interpreter._Evaluator._exact_bop
-
-        def counted(self, e, *rest):
-            built.append(syntax.pretty(e))
-            return exact_bop(self, e, *rest)
-
-        monkeypatch.setattr(interpreter._Evaluator, "_exact_bop", counted)
-        for src, value, impure in loops:
-            built.clear()
-            out = run(src)
-            assert isinstance(out, Ok) and out.value == IntV(value), src
-            assert built == impure, src
+        raw = outs()
+        assert raw[0] == FuelExhausted() and raw[-1] == last
+        monkeypatch.setattr(interpreter._Evaluator, "_operand", checked_operand)
+        assert raw == outs()
 
 
 class TestRunProgram:
