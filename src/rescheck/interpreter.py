@@ -21,6 +21,12 @@ fixed order. So its code takes no fuel, and its node count is charged in one
 step, by the rule that evaluates it first after its own charge or else by
 one wrapper, with the outcome of one charge per node at every fuel.
 
+A pure operator runs one kernel, generated once per operator and operand kinds:
+it reads a variable (`env[x]`) or a dereference (`data[env[x].loc]`) inline,
+takes an int literal as a default and calls any other operand's code. A failed
+read, or a value the operator does not take, raises a Python error, which
+`_fault` turns into the fault the operands' checked code or the operator gives.
+
 Nesting depth is its own outcome. Evaluation that nests deeper than
 `_MAX_DEPTH` rule applications ends in DepthExceeded, not FuelExhausted:
 running out of budget and running out of stack are different diagnoses. Fuel
@@ -31,11 +37,11 @@ compiled: a node `_MAX_DEPTH` levels down compiles to a stop.
 
 from __future__ import annotations
 
-import operator
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from types import CodeType, FunctionType
 from typing import NoReturn
 
 from .syntax import (
@@ -215,22 +221,37 @@ def _eq(a: Value, b: Value) -> BoolV:
     raise TypeError("== takes two ints or two booleans")
 
 
-# Each operator on two values: it raises TypeError unless both are ints, or, for ==, booleans.
-_OPS = {
-    BinOp.ADD: operator.add,
-    BinOp.SUB: operator.sub,
-    BinOp.MUL: operator.mul,
-    BinOp.DIV: _div,
-    BinOp.EQ: _eq,
-    BinOp.LT: lambda a, b: _BOOL(a < b),
-    BinOp.GT: lambda a, b: _BOOL(a > b),
-}
+# Each operator's meaning, written once: a Python expression of its two operands that
+# raises TypeError unless both are ints, or, for ==, two ints or two booleans.
+_TEMPLATES = {BinOp.ADD: "{} + {}", BinOp.SUB: "{} - {}", BinOp.MUL: "{} * {}",
+              BinOp.DIV: "_div({}, {})", BinOp.EQ: "_eq({}, {})",
+              BinOp.LT: "_BOOL({} < {})", BinOp.GT: "_BOOL({} > {})"}
+_OPS = {op: eval(f"lambda a, b: {t.format('a', 'b')}") for op, t in _TEMPLATES.items()}
+
+# How a kernel reads an operand of each kind from its default, `x` on the left and `y` on
+# the right: a variable or dereference by name, an int literal as is, other pure code by a call.
+_READS = {"var": "env[{}]", "deref": "data[env[{}].loc]", "num": "{}", "code": "{}(env)"}
+
+
+class _Kernels(dict):
+    """The code of a pure operator, one per (BinOp, left kind, right kind): at most 7 x 4 x 4."""
+
+    def __missing__(self, key: tuple[BinOp, str, str]) -> CodeType:
+        body = _TEMPLATES[key[0]].format(_READS[key[1]].format("x"), _READS[key[2]].format("y"))
+        exec(f"def bop(env, x, y, data, f):\n try: return {body}\n except (KeyError,"
+             " AttributeError, TypeError, ZeroDivisionError) as exc: _fault(exc, env, *f)",
+             globals(), scope := {})
+        self[key] = code = scope["bop"].__code__
+        return code
+
+
+_kernel = _Kernels()
 
 
 def _fault(exc: Exception, env: Env, pos: Pos | None, k: int, lhs: Code, rhs: Code) -> NoReturn:
-    """Stop the run at the fault behind `exc`, raised by an operator's code: a
-    raw read's, where the checked code `lhs` and `rhs` stops, or the operator's."""
-    if isinstance(exc, KeyError):  # one of them stops at its unbound variable
+    """Stop the run at the fault behind `exc`, raised by an operator's code: an
+    inline read's, where the checked code `lhs` and `rhs` stops, or the operator's."""
+    if isinstance(exc, (KeyError, AttributeError)):  # one of them stops at its failed read
         lhs(env), rhs(env)
     kind = FaultKind.DIV_BY_ZERO if isinstance(exc, ZeroDivisionError) else FaultKind.NOT_AN_INT
     raise _Stop(RuntimeFault(kind, pos), k) from None
@@ -249,7 +270,8 @@ class _Evaluator:
     once on entry, with the pure operands it evaluates first. A charge that
     the fuel left does not cover calls `short`, which never returns; to find
     where the run stops, each node is compiled `at` charges into its charge.
-    `_fault` turns what an operator's raw reads or `_OPS` function raise into a fault.
+    `_operand` picks how a kernel reads each operand; an impure operator
+    applies its `_OPS` function to its operands' values.
     """
 
     __slots__ = ("store", "fuel", "env")
@@ -313,24 +335,14 @@ class _Evaluator:
     def _bop(self, e: Bop, level: int, at: int) -> Compiled:
         lhs, n1 = self.compile(e.lhs, level + 1, at + 1)
         rhs, n2 = self.compile(e.rhs, level + 1, at + 1 + n1)
-        op, pos, k = _OPS[e.op], e.pos, at + 1 + n1 + n2  # k: where a pure one faults
-        if n1 and n2:  # its code binds a right literal and takes defaults, not cells
-            x, y = self._operand(e.lhs, level + 1, lhs), self._operand(e.rhs, level + 1, rhs)
-            if type(e.rhs) is Num and level + 1 < _MAX_DEPTH:
-                def bop(env: Env, x=x, y=int(e.rhs.literal), op=op, f=(pos, k, lhs, rhs)) -> Value:
-                    try:
-                        return op(x(env), y)
-                    except (KeyError, TypeError, ZeroDivisionError) as exc:
-                        _fault(exc, env, *f)
-            else:
-                def bop(env: Env, x=x, y=y, op=op, f=(pos, k, lhs, rhs)) -> Value:
-                    try:
-                        return op(x(env), y(env))
-                    except (KeyError, TypeError, ZeroDivisionError) as exc:
-                        _fault(exc, env, *f)
-            return bop, k - at
+        pos, k = e.pos, at + 1 + n1 + n2  # k: where a pure one faults
+        if n1 and n2:  # one kernel: its operands, store and fault are defaults, not cells
+            a, x = self._operand(e.lhs, level + 1, lhs)
+            b, y = self._operand(e.rhs, level + 1, rhs)
+            defaults = (x, y, self.store.data, (pos, k, lhs, rhs))
+            return FunctionType(_kernel[e.op, a, b], globals(), "bop", defaults), k - at
         # Its charge covers a pure left operand; a pure right one pays its own.
-        first, rhs = (lhs,) if n1 else (), self.charged(rhs, n2, at + 1 + n1)
+        op, first, rhs = _OPS[e.op], (lhs,) if n1 else (), self.charged(rhs, n2, at + 1 + n1)
 
         def impure(env: Env) -> Value:
             v1, v2 = lhs(env), rhs(env)  # outside the `try`: what they raise is their own
@@ -340,10 +352,13 @@ class _Evaluator:
                 _fault(exc, env, pos, k, lhs, rhs)
         return self.charged(impure, 1 + n1, at, first), 0
 
-    def _operand(self, e: Expr, level: int, code: Code) -> Code:
-        """A pure operand's code under an operator, given its checked `code`: a
-        variable is read raw, and a failed read raises KeyError."""
-        return operator.itemgetter(e.name) if type(e) is Var and level < _MAX_DEPTH else code
+    def _operand(self, e: Expr, level: int, code: Code) -> tuple[str, object]:
+        """A pure operand's kind in a kernel and its default, given its checked `code`: any
+        but a variable, dereference or int literal, or any `_MAX_DEPTH` deep, calls it."""
+        kind = type(e) if level < _MAX_DEPTH else None
+        if kind is Var or kind is Deref:
+            return kind.__name__.lower(), e.name
+        return ("num", int(e.literal)) if kind is Num else ("code", code)
 
     def _let(self, e: Let, level: int, at: int) -> Compiled:
         ev, name = self, e.name

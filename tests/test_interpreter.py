@@ -646,8 +646,8 @@ class TestCompile:
 
 
 def checked_operand(self, e, level, code):
-    """`_Evaluator._operand` that reads no variable raw: every operand runs its checked code."""
-    return code
+    """`_Evaluator._operand` that reads no operand inline: a kernel calls each operand's code."""
+    return "code", code
 
 
 def at_every_fuel(e, env, store, top=300):
@@ -666,9 +666,10 @@ def at_every_fuel(e, env, store, top=300):
 
 
 class TestIntCode:
-    """A pure operator reads a variable operand raw, and runs its checked
-    code only where that read fails. Each test takes the outcomes with
-    checked operands alone as the reference, by patching out the raw reads."""
+    """A pure operator is a kernel that reads a variable or dereference
+    operand inline, and runs its checked code only where that read fails.
+    Each test takes the outcomes of kernels that call every operand's checked
+    code as the reference, by patching out the inline reads."""
 
     def test_generated_trees_and_programs_match_the_exact_code(self, monkeypatch):
         runs = []
@@ -688,6 +689,11 @@ class TestIntCode:
             assert got == want, syntax.pretty(run[0])
         kinds = {type(o) for outs in raw for _, o in outs}
         assert kinds == {Ok, RuntimeFault, FuelExhausted}
+        # kernels are generated per operator and operand kinds, never per program
+        operands = {"var", "deref", "num", "code"}
+        keys = {(op, a, b) for op in syntax.BinOp for a in operands for b in operands}
+        assert len(keys) == 112 and set(interpreter._kernel) <= keys
+        assert {a for _, a, _ in interpreter._kernel} == operands
 
     @pytest.mark.parametrize(
         "src, cost, value",
@@ -723,6 +729,8 @@ class TestIntCode:
             ("x + (nope * 2)", 2497, RuntimeFault(FaultKind.UNBOUND_VAR, syntax.Pos(1, 6))),
             ("x + (nope * 2)", 2498, DepthExceeded(2500)),
             ("(x * 2) + nope", 2498, DepthExceeded(2500)),
+            ("x + (!r * 2)", 2497, IntV(1)),  # `!r` runs at 2,499, read inline
+            ("x + (!r * 2)", 2498, DepthExceeded(2500)),
         ],
     )
     def test_a_tree_whose_leaves_sit_at_the_depth_limit(self, src, level, last, monkeypatch):
@@ -740,6 +748,20 @@ class TestIntCode:
 
         raw = outs()
         assert raw[0] == FuelExhausted() and raw[-1] == last
+        monkeypatch.setattr(interpreter._Evaluator, "_operand", checked_operand)
+        assert raw == outs()
+
+    @pytest.mark.parametrize("src, cost, col", [("!p + 1", 2, 1), ("1 + !p", 3, 5)])
+    def test_a_dangling_location_read_inside_an_operator(self, src, cost, col, monkeypatch):
+        # `p` holds a location the store has not got: the kernel's inline
+        # read fails, and the checked dereference faults where it stands
+        def outs():
+            return [run(src, env={"p": LocV(9)}, store=Store({0: IntV(1)}), fuel=fuel)
+                    for fuel in range(cost + 3)]
+
+        raw = outs()
+        fault = RuntimeFault(FaultKind.NOT_A_LOC, syntax.Pos(1, col))
+        assert raw == [FuelExhausted()] * cost + [fault] * 3
         monkeypatch.setattr(interpreter._Evaluator, "_operand", checked_operand)
         assert raw == outs()
 
