@@ -6,9 +6,10 @@ current context. The generator models levels and floors only: each
 expression is built once, under a cap on its level, and each statement
 above a write floor (pc, or High in effect-clean mode), so nothing is built
 and then thrown away. Expressions never apply an effectful function, so
-they write nothing and no effect needs tracking. Each trial checks its
-program once; that check is the generator's postcondition, and a
-`CheckError` from it is a generator bug.
+they write nothing and no effect needs tracking. A suite's program source
+hands each trial its program and the judgment of its one check; that check
+is the generator's postcondition, and a `CheckError` from it is a
+generator bug.
 
 The generator's context is Γ, the checker's own `TEnv` of security types.
 The runtime shape of a binding, which the type system does not track, is
@@ -504,10 +505,11 @@ def gen_welltyped(cfg: GenConfig, tenv: TEnv, pc: SecType, effect_clean: bool = 
     """A program meant to pass the checker under (tenv, pc).
 
     Construction satisfies every side condition outright, so the program is
-    not checked here; the trial that uses it checks it once, and a rejection
-    there is a generator bug. Every function the program binds has latent
-    effect (). A function in `tenv` with a latent effect stays in scope but
-    is never applied; `gen_tenv` makes none, and no caller passes one.
+    not checked here; the suite's program source checks it once, and a
+    rejection there is a generator bug. Every function the program binds
+    has latent effect (). A function in `tenv` with a latent effect stays in
+    scope but is never applied; `gen_tenv` makes none, and no caller passes
+    one.
     """
     g = _Gen(random.Random(_derive(cfg.rng_seed, _ROLE_PROG)), effect_clean=effect_clean)
     return g.gen_program(dict(tenv), pc, MAX_DEPTH)
@@ -543,8 +545,28 @@ def _results_agree(j: Judgment, outs: list[Ok], finals: tuple[State, State], eq_
     return value_equiv(o1.value, o1.state.store, o2.value, o2.state.store, j.ty, eq_cfg, stats)
 
 
-def _effect_free(j: Judgment) -> bool:
-    return isinstance(j.effect, (High, Empty))
+def _steered(
+    pc: SecType, cfg: GenConfig, tenv: TEnv, effect_clean: bool = False
+) -> tuple[Expr, Judgment]:
+    """A program source: the steered generator's program and its judgment,
+    from the trial path's only checker call; a `CheckError`, or a Low effect
+    in effect-clean mode, is a generator bug. `gen_welltyped` and `check` are
+    read at call time, so tests and tracers can swap them."""
+    prog = gen_welltyped(cfg, tenv, pc, effect_clean=effect_clean)
+    j = check(tenv, pc, prog)
+    clean = isinstance(j.effect, (High, Empty))
+    assert clean or not effect_clean, "effect-clean program has a Low effect"
+    return prog, j
+
+
+def _observable(cfg: GenConfig, tenv: TEnv) -> tuple[Expr, Judgment] | None:
+    """lemma1's source: the first of eight pc-Low draws, at seeds salted
+    31-38, whose type a low observer can see, else None."""
+    for salt in range(31, 39):
+        prog, j = _steered(LOW, replace(cfg, rng_seed=_derive(cfg.rng_seed, salt)), tenv)
+        if low_observable(j.ty):
+            return prog, j
+    return None
 
 
 @dataclass(frozen=True)
@@ -552,54 +574,29 @@ class _Suite:
     """What one suite varies; `_trial` runs the steps they all share."""
 
     salt: int  # derives the suite's per-trial seeds
-    pc: SecType
     detail: str  # Violation text; {ty} is the program's type
-    effect_clean: bool = False
-    # (salt, predicate): draw up to 8 programs from salted seeds and keep the
-    # first whose judgment passes, else discard the trial as "unobservable".
-    # None: the trial seed's program.
-    retry: tuple[int, Callable[[Judgment], bool]] | None = None
+    # (cfg, tenv) -> (program, judgment), or None to discard the trial as
+    # "unobservable"; the source checks the program, the trial never does
+    program: Callable[[GenConfig, TEnv], tuple[Expr, Judgment] | None]
     runs: int = 2  # 1: run s1 only and compare it with its own final state
     observe: Callable[..., bool] = _states_agree
 
 
 _SUITE_TABLE = {
     # final states of two low-equivalent runs stay low-equivalent
-    "soundness": _Suite(11, LOW, "final states differ for a low observer"),
+    "soundness": _Suite(11, "final states differ for a low observer", partial(_steered, LOW)),
     # results at a low-observable type agree across low-equivalent runs
-    "lemma1": _Suite(
-        12, LOW, "results differ at type {ty}",
-        retry=(31, lambda j: low_observable(j.ty)), observe=_results_agree,
-    ),
+    "lemma1": _Suite(12, "results differ at type {ty}", _observable, observe=_results_agree),
     # a program typed under a high pc cannot change the low view
-    "lemma2": _Suite(13, HIGH, "high-pc program changed the low view", runs=1),
+    "lemma2": _Suite(13, "high-pc program changed the low view", partial(_steered, HIGH), runs=1),
     # a program whose effect is High or () cannot change the low view
     "lemma5": _Suite(
-        14, LOW, "effect-free program changed the low view",
-        effect_clean=True, runs=1,
+        14, "effect-free program changed the low view",
+        partial(_steered, LOW, effect_clean=True), runs=1,
     ),
 }
 
 SUITES = tuple(_SUITE_TABLE)
-
-
-def _choose_program(suite: _Suite, cfg: GenConfig, tenv: TEnv) -> tuple[Expr, Judgment] | None:
-    """The trial's program and its judgment, from the only checker call on
-    the trial path, or None when the suite's retry accepts no draw. The
-    check is the generator's postcondition: a `CheckError`, or a Low effect
-    from an effect-clean draw, is a generator bug."""
-    if suite.retry is None:
-        draws, accept = [cfg], None
-    else:
-        salt, accept = suite.retry
-        draws = (replace(cfg, rng_seed=_derive(cfg.rng_seed, salt + k)) for k in range(8))
-    for sub in draws:
-        prog = gen_welltyped(sub, tenv, suite.pc, effect_clean=suite.effect_clean)
-        j = check(tenv, suite.pc, prog)
-        assert not suite.effect_clean or _effect_free(j), "effect-clean program has a Low effect"
-        if accept is None or accept(j):
-            return prog, j
-    return None
 
 
 # Why a run that did not finish discards its trial; SuiteReport counts each
@@ -608,10 +605,11 @@ _DISCARD_CAUSE = {FuelExhausted: "fuel", RuntimeFault: "runtime", DepthExceeded:
 
 
 def _trial(suite: _Suite, cfg: GenConfig) -> TrialResult:
-    """One trial: a well-typed program run from low-equivalent states must
-    leave the suite's observer unable to tell the runs apart."""
+    """One trial: the suite's program, run from low-equivalent states, must
+    leave the suite's observer unable to tell the runs apart. The suite's
+    source hands over the program with its judgment."""
     tenv = gen_tenv(cfg)
-    chosen = _choose_program(suite, cfg, tenv)
+    chosen = suite.program(cfg, tenv)
     if chosen is None:
         return Discarded("unobservable")
     prog, j = chosen

@@ -45,6 +45,7 @@ from rescheck import (
 from rescheck import harness
 from rescheck.harness import SUITES, _TRIAL_FNS
 from rescheck.syntax import Empty, High, Num
+from suites import MODES
 
 
 class TestGenTenv:
@@ -96,13 +97,28 @@ class TestGenWelltyped:
 
     @pytest.mark.parametrize("suite", SUITES)
     def test_programs_match_recorded_digest(self, suite):
-        pc, clean = harness._SUITE_TABLE[suite].pc, harness._SUITE_TABLE[suite].effect_clean
+        pc, clean = MODES[suite]
         digest = hashlib.sha256()
         for seed in range(500):
             cfg = GenConfig(rng_seed=seed)
             prog = gen_welltyped(cfg, gen_tenv(cfg), pc, effect_clean=clean)
             digest.update(pretty(prog).encode() + b"\0")
         assert digest.hexdigest() == self.DIGESTS[suite]
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_each_suite_draws_in_its_recorded_mode(self, suite, monkeypatch):
+        # tests draw a suite's programs with MODES, so its source must too
+        modes, real = set(), harness.gen_welltyped
+
+        def gen_welltyped(cfg, tenv, pc, effect_clean=False):
+            modes.add((pc, effect_clean))
+            return real(cfg, tenv, pc, effect_clean)
+
+        monkeypatch.setattr(harness, "gen_welltyped", gen_welltyped)
+        for seed in range(20):
+            cfg = GenConfig(rng_seed=seed)
+            harness._SUITE_TABLE[suite].program(cfg, gen_tenv(cfg))
+        assert modes == {MODES[suite]}
 
     def test_misses_in_any_order_reach_one_table(self):
         # dropping let_base then let_ref, or let_ref then let_base
@@ -239,9 +255,9 @@ class TestGenWelltyped:
             s1, _ = gen_lowequiv_states(cfg, tenv)
             assert isinstance(s1.env["x"], IntV) and isinstance(s1.env["g"], ClosV)
             assert isinstance(s1.store.data[s1.env["r"].loc], IntV)
-            for suite in harness._SUITE_TABLE.values():
-                prog = gen_welltyped(cfg, tenv, suite.pc, effect_clean=suite.effect_clean)
-                check(dict(tenv), suite.pc, prog)  # must not raise
+            for pc, clean in MODES.values():
+                prog = gen_welltyped(cfg, tenv, pc, effect_clean=clean)
+                check(dict(tenv), pc, prog)  # must not raise
 
 
 class TestContextIsTheOutEnv:
@@ -250,16 +266,16 @@ class TestContextIsTheOutEnv:
 
     @pytest.mark.parametrize("suite", SUITES)
     def test_context_after_a_program_is_the_out_env(self, suite):
-        spec = harness._SUITE_TABLE[suite]
-        base = harness._derive(0, spec.salt)  # the seeds run_suite gives its trials
+        pc, clean = MODES[suite]
+        base = harness._derive(0, harness._SUITE_TABLE[suite].salt)  # run_suite's trial seeds
         for i in range(250):
             cfg = GenConfig(rng_seed=harness._derive(base, i + 1))
             tenv = gen_tenv(cfg)
             rng = random.Random(harness._derive(cfg.rng_seed, harness._ROLE_PROG))
             ctx = dict(tenv)
-            prog = harness._Gen(rng, spec.effect_clean).gen_program(ctx, spec.pc, harness.MAX_DEPTH)
-            assert prog == gen_welltyped(cfg, tenv, spec.pc, effect_clean=spec.effect_clean)
-            assert list(ctx.items()) == list(check(tenv, spec.pc, prog).out_env.items())
+            prog = harness._Gen(rng, clean).gen_program(ctx, pc, harness.MAX_DEPTH)
+            assert prog == gen_welltyped(cfg, tenv, pc, effect_clean=clean)
+            assert list(ctx.items()) == list(check(tenv, pc, prog).out_env.items())
 
 
 def rename_binders(e: Expr, new) -> Expr:
@@ -283,11 +299,11 @@ class TestWeakeningAndRenaming:
     @staticmethod
     def judged_programs():
         for seed in range(1000):
-            spec = harness._SUITE_TABLE[SUITES[seed % len(SUITES)]]
+            pc, clean = MODES[SUITES[seed % len(SUITES)]]
             cfg = GenConfig(rng_seed=seed)
             tenv = gen_tenv(cfg)
-            prog = gen_welltyped(cfg, tenv, spec.pc, effect_clean=spec.effect_clean)
-            yield tenv, spec.pc, prog, check(tenv, spec.pc, prog)
+            prog = gen_welltyped(cfg, tenv, pc, effect_clean=clean)
+            yield tenv, pc, prog, check(tenv, pc, prog)
 
     def test_an_unused_binding_only_adds_itself(self):
         for k, (tenv, pc, prog, j) in enumerate(self.judged_programs()):

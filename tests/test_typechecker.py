@@ -29,7 +29,7 @@ from rescheck import (
     trace_check,
     typechecker,
 )
-from rescheck.harness import _SUITE_TABLE
+from suites import MODES
 
 
 def chk(src, env=None, pc=LOW):
@@ -555,9 +555,9 @@ class TestConfinement:
                 assert leq(pc, j.effect), (pc, pretty(e))
         assert min(accepted.values()) > 5_000
 
-    @pytest.mark.parametrize("suite", list(_SUITE_TABLE))
+    @pytest.mark.parametrize("suite", list(MODES))
     def test_generated_programs(self, suite):
-        pc, clean = _SUITE_TABLE[suite].pc, _SUITE_TABLE[suite].effect_clean
+        pc, clean = MODES[suite]
         for seed in range(250):
             cfg = GenConfig(rng_seed=seed)
             tenv = gen_tenv(cfg)
