@@ -8,12 +8,16 @@ any well-formed parameter type, both bodies run under bounded fuel, and the
 results are compared at the result type. Runs that exhaust fuel or fault,
 and functions nested past the comparison depth, are inconclusive and count
 as passes; callers can watch the statistics to see how often that happened.
+
+The sampling stream is seeded from `EquivConfig.rng_seed` when a comparison
+runs its first closure pair, so a comparison that runs none seeds nothing.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 from .interpreter import (
@@ -146,7 +150,11 @@ class _Equiv:
     def __init__(self, cfg: EquivConfig, stats: EquivStats | None):
         self.cfg = cfg
         self.stats = stats if stats is not None else EquivStats()
-        self.rng = random.Random(cfg.rng_seed)
+
+    @cached_property
+    def rng(self) -> random.Random:
+        """The sampling stream, seeded when the first closure pair runs."""
+        return random.Random(self.cfg.rng_seed)
 
     def values(
         self, v1: Value, s1: Store, v2: Value, s2: Store, t: SecType, depth: int

@@ -18,9 +18,13 @@ or function), so that generated programs do not get stuck on shape errors
 and state generation can build matching values from Γ alone.
 
 Builders are drawn by weight from tables built once, at import (`_Table`).
-Each pick consumes one `rng.random()`, as `rng.choices` would. A table names
-its builders and `_Gen.draw` looks each one up on the generator, so a
-subclass that overrides a builder is the one called.
+A table names its builders and `_Gen.draw` looks each one up on the
+generator, so a subclass that overrides a builder is the one called.
+
+Each draw is one Python call that consumes the random stream as
+`random.Random` would: a weighted pick takes one `random()`, as `choices`
+does, and `choice` and `randint` take `getrandbits` words as `_randbelow`
+does. So a seed gives the programs that the stdlib's own draws would.
 """
 
 from __future__ import annotations
@@ -158,12 +162,26 @@ _TENV_CHOICES = [
 _SHAPES = frozenset(prefix for prefix, _ in _TENV_CHOICES)
 
 
+class _Prefixes(dict):
+    """Each name's prefix, the name without its trailing digits, when that
+    is a shape, else None; worked out once per name. Generated names are a
+    shape and a counter, so few are ever seen: 670 in 20,000 trials."""
+
+    def __missing__(self, name: str) -> str | None:
+        prefix = name.rstrip("0123456789")
+        shape = self[name] = prefix if prefix in _SHAPES else None
+        return shape
+
+
+_PREFIXES = _Prefixes()
+
+
 def _shape(name: str, t: SecType) -> str:
     """The shape of a binding of t: its name's prefix, or for a name with
     none, ri for a ref, f for a function and i for anything else."""
-    prefix = name.rstrip("0123456789")
-    if prefix in _SHAPES:
-        return prefix
+    shape = _PREFIXES[name]
+    if shape is not None:
+        return shape
     if isinstance(t, RefType):
         return "ri"
     if isinstance(t, FunType):
@@ -172,17 +190,18 @@ def _shape(name: str, t: SecType) -> str:
 
 
 _BOTH = (LOW, HIGH)
+_INT_OPS = (BinOp.ADD, BinOp.SUB, BinOp.MUL, BinOp.DIV)
+_BOOL_OPS = (BinOp.EQ, BinOp.LT, BinOp.GT)
 
 
 # Program generator -----------------------------------------------------------
 
 
 class _Table:
-    """Options drawn by weight: `pick` is the computation of
-    `rng.choices(range(n), weights)`, so it consumes the same random stream,
-    without that call's overhead. The table of the options left after
-    dropping one is built on first use and shared by every table that
-    leaves the same options."""
+    """Options drawn by weight. A pick is `bisect(cum, random() * total, 0,
+    last)`, the computation of `rng.choices(range(n), weights)`. The table
+    of the options left after dropping one is built on first use and shared
+    by every table that leaves the same options."""
 
     __slots__ = ("options", "items", "cum", "total", "last", "rest")
 
@@ -193,9 +212,6 @@ class _Table:
         self.total = self.cum[-1] + 0.0
         self.last = len(options) - 1
         self.rest: dict[int, _Table] = {}
-
-    def pick(self, rng: random.Random) -> int:
-        return bisect(self.cum, rng.random() * self.total, 0, self.last)
 
     def without(self, i: int) -> _Table:
         rest = self.rest.get(i)
@@ -225,10 +241,15 @@ class _Gen:
     is built without a pc. A statement writes at or above the floor, pc or
     High in effect-clean mode. Under a High floor, bound values are exactly
     High (`high_expr`), and a statement with no High source is not built.
+
+    It draws through `rng`'s `random` and `getrandbits`, bound once. Its
+    `choice` and `randint` compute what `rng.choice` and `rng.randint`
+    would, from the same words of the stream.
     """
 
     def __init__(self, rng: random.Random, effect_clean: bool = False):
-        self.rng = rng
+        self.random = rng.random
+        self.getrandbits = rng.getrandbits
         self.effect_clean = effect_clean
         self.counter = 10  # generated names stay clear of tenv indices
 
@@ -240,13 +261,37 @@ class _Gen:
     def floor(self, pc: SecType) -> SecType:
         return HIGH if self.effect_clean else pc
 
+    def choice(self, seq):
+        """`rng.choice(seq)`: an index below n = len(seq) from k = n's bit
+        length random bits, drawn again while it is n or more."""
+        n = len(seq)
+        if not n:
+            raise IndexError("Cannot choose from an empty sequence")
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return seq[r]
+
+    def randint(self, a: int, b: int) -> int:
+        """`rng.randint(a, b)`: a + an index below b - a + 1, drawn as
+        `choice` draws one."""
+        n = b - a + 1
+        if n <= 0:
+            raise ValueError(f"empty range for randint({a}, {b})")
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return a + r
+
     def draw(self, table: _Table, *args):
         """Draw builders from `table` by weight, without replacement, until
         one builds. A builder returns None, having built nothing, when the
         context has no source for it; a literal or an expression statement
         always builds. A miss moves on to the table of the options left."""
         while True:
-            pick = table.pick(self.rng)
+            pick = bisect(table.cum, self.random() * table.total, 0, table.last)
             built = getattr(self, table.items[pick])(*args)
             if built is not None:
                 return built
@@ -278,21 +323,21 @@ class _Gen:
         ]
         if not sources:
             return None
-        node, name = self.rng.choice(sources)
+        node, name = self.choice(sources)
         return node(name)
 
     def _expr_literal(self, ctx, depth, shape, cap):
         if shape == "i":
-            return Num(str(self.rng.randint(*INT_RANGE))), LOW
+            return Num(str(self.randint(*INT_RANGE))), LOW
         if shape == "b":
-            return Bool(self.rng.random() < 0.5), LOW
+            return Bool(self.random() < 0.5), LOW
         return Unit(), LOW
 
     def _expr_var(self, ctx, depth, shape, cap):
         names = [n for n, t in ctx.items() if _shape(n, t) == shape and leq(t, cap)]
         if not names:
             return None
-        name = self.rng.choice(names)
+        name = self.choice(names)
         return Var(name), ctx[name]
 
     def _expr_deref(self, ctx, depth, shape, cap):
@@ -303,27 +348,26 @@ class _Gen:
         ]
         if not names:
             return None
-        name = self.rng.choice(names)
+        name = self.choice(names)
         return Deref(name), ctx[name].inner
 
     def _expr_bop(self, ctx, depth, shape, cap):
-        rng = self.rng
         if shape == "i":
-            op = rng.choice([BinOp.ADD, BinOp.SUB, BinOp.MUL, BinOp.DIV])
+            op = self.choice(_INT_OPS)
             operand_shape = "i"
         else:
-            op = rng.choice([BinOp.EQ, BinOp.LT, BinOp.GT])
-            operand_shape = "b" if op is BinOp.EQ and rng.random() < 0.5 else "i"
+            op = self.choice(_BOOL_OPS)
+            operand_shape = "b" if op is BinOp.EQ and self.random() < 0.5 else "i"
         e1, t1 = self.gen_expr(ctx, depth - 1, operand_shape, cap)
         if op is BinOp.DIV:
             # nonzero literal divisor keeps generated programs from faulting
-            return Bop(op, e1, Num(str(rng.randint(1, 8)))), t1
+            return Bop(op, e1, Num(str(self.randint(1, 8)))), t1
         if op is BinOp.MUL:
             # literal factor caps value growth per step; repeated squaring
             # inside loops would otherwise make single steps arbitrarily slow
-            return Bop(op, e1, Num(str(rng.randint(*INT_RANGE)))), t1
+            return Bop(op, e1, Num(str(self.randint(*INT_RANGE)))), t1
         e2, t2 = self.gen_expr(ctx, depth - 1, operand_shape, cap)
-        if rng.random() < 0.5:
+        if self.random() < 0.5:
             e1, e2 = e2, e1
         return Bop(op, e1, e2), join([t1, t2])
 
@@ -337,7 +381,7 @@ class _Gen:
         ]
         if not funs:
             return None
-        name = self.rng.choice(funs)
+        name = self.choice(funs)
         ft: FunType = ctx[name]
         if isinstance(ft.param, High):
             arg = self.high_expr(ctx, "i")
@@ -357,9 +401,9 @@ class _Gen:
 
     def gen_program(self, ctx: TEnv, pc, depth) -> Expr:
         stmts: list[Expr] = []
-        for _ in range(self.rng.randint(1, 3)):
+        for _ in range(self.randint(1, 3)):
             stmts.extend(self.gen_stmt(ctx, pc, depth))
-        if self.rng.random() < 0.6:
+        if self.random() < 0.6:
             stmts.extend(self._stmt_expr(ctx, pc, depth))
         return sequence(stmts)
 
@@ -375,11 +419,12 @@ class _Gen:
         return None if e is None else (e, HIGH)
 
     def _stmt_expr(self, ctx, pc, depth):
-        shape = _STMT_EXPR_SHAPES.items[_STMT_EXPR_SHAPES.pick(self.rng)]
+        table = _STMT_EXPR_SHAPES
+        shape = table.items[bisect(table.cum, self.random() * table.total, 0, table.last)]
         return [self.gen_expr(ctx, depth, shape, HIGH)[0]]
 
     def _stmt_let_base(self, ctx, pc, depth):
-        shape = self.rng.choice(["i", "i", "b"])
+        shape = self.choice(("i", "i", "b"))
         got = self._stored(ctx, pc, depth, shape)
         if got is None:
             return None
@@ -388,15 +433,15 @@ class _Gen:
         return [Let(name, None, got[0])]
 
     def _stmt_let_annot(self, ctx, pc, depth):
-        ann = HIGH if isinstance(self.floor(pc), High) else self.rng.choice(_BOTH)
-        shape = self.rng.choice(["i", "i", "b"])
+        ann = HIGH if isinstance(self.floor(pc), High) else self.choice(_BOTH)
+        shape = self.choice(("i", "i", "b"))
         rhs = self.gen_expr(ctx, depth, shape, ann)[0]
         name = self.fresh(shape)
         ctx[name] = ann
         return [Let(name, ann, rhs)]
 
     def _stmt_let_ref(self, ctx, pc, depth):
-        shape = self.rng.choice(["i", "i", "b"])
+        shape = self.choice(("i", "i", "b"))
         got = self._stored(ctx, pc, depth, shape)
         if got is None:
             return None
@@ -407,7 +452,7 @@ class _Gen:
     def _stmt_let_fun(self, ctx, pc, depth):
         if isinstance(self.floor(pc), High):
             return None
-        param_t = self.rng.choice(_BOTH)
+        param_t = self.choice(_BOTH)
         param = self.fresh("i")
         body_ctx = dict(ctx)
         body_ctx[param] = param_t
@@ -421,7 +466,7 @@ class _Gen:
         targets = [n for n, t in ctx.items() if isinstance(t, RefType) and leq(floor, t.inner)]
         if not targets:
             return None
-        name = self.rng.choice(targets)
+        name = self.choice(targets)
         t = ctx[name]
         # a ref's shape ends in the shape of its contents
         return [Assign(name, self.gen_expr(ctx, depth, _shape(name, t)[-1], t.inner)[0])]
@@ -441,14 +486,14 @@ class _Gen:
         # let c = ref(k); while !c > 0 { ...; c := !c - 1 }, or rarely a loop
         # that increments its own counter: it burns fuel, exercising the
         # discard path
-        diverge = self.rng.random() < 0.06
+        diverge = self.random() < 0.06
         if isinstance(self.floor(pc), High):
             init = self.high_expr(ctx, "i")
             if init is None:
                 return None
             level = HIGH
         else:
-            init = Num("1" if diverge else str(self.rng.randint(1, MAX_FOR_SPAN)))
+            init = Num("1" if diverge else str(self.randint(1, MAX_FOR_SPAN)))
             level = LOW
         name = self.fresh("ri")
         if diverge:
@@ -463,8 +508,8 @@ class _Gen:
         return [Let(name, None, Ref(init)), While(cond, body)]
 
     def _stmt_for(self, ctx, pc, depth):
-        a = self.rng.randint(-2, 2)
-        b = a + self.rng.randint(0, MAX_FOR_SPAN)
+        a = self.randint(-2, 2)
+        b = a + self.randint(0, MAX_FOR_SPAN)
         var = self.fresh("i")
         body_ctx = dict(ctx)
         body_ctx[var] = pc  # bounds are literals, so pc2 == pc
@@ -492,11 +537,11 @@ def gen_tenv(cfg: GenConfig) -> TEnv:
 
     Prefixes name the runtime shape; security levels vary independently.
     """
-    rng = random.Random(_derive(cfg.rng_seed, _ROLE_TENV))
+    g = _Gen(random.Random(_derive(cfg.rng_seed, _ROLE_TENV)))
     tenv: TEnv = {}
-    for i in range(rng.randint(0, 6)):
-        prefix, mk = rng.choice(_TENV_CHOICES)
-        level = rng.choice(_BOTH)
+    for i in range(g.randint(0, 6)):
+        prefix, mk = g.choice(_TENV_CHOICES)
+        level = g.choice(_BOTH)
         tenv[f"{prefix}{i}"] = mk(level)
     return tenv
 

@@ -1,6 +1,9 @@
 """Low-observer equivalence on values and whole states."""
 
 import random
+from types import SimpleNamespace
+
+import pytest
 
 from rescheck import (
     EMPTY,
@@ -22,6 +25,7 @@ from rescheck import (
     parse,
     value_equiv,
 )
+from rescheck import equivalence
 from rescheck.equivalence import related_values
 
 S0 = Store()
@@ -203,6 +207,49 @@ class TestClosures:
         t = FunType(HIGH, LOW, EMPTY)
         cfg = EquivConfig(rng_seed=5)
         assert veq(c1, c2, t, cfg=cfg) == veq(c1, c2, t, cfg=cfg)
+
+
+class TestSamplingStream:
+    """The sampling stream is seeded at the first closure pair sampled."""
+
+    @pytest.fixture
+    def seeds(self, monkeypatch):
+        seeds = []
+
+        def counting(seed):
+            seeds.append(seed)
+            return random.Random(seed)
+
+        monkeypatch.setattr(equivalence, "random", SimpleNamespace(Random=counting))
+        return seeds
+
+    def test_a_comparison_with_no_sampled_pair_seeds_nothing(self, seeds):
+        c = ClosV(parse("x"), "x", {})
+        tenv = {"l": LOW, "h": HIGH, "r": RefType(LOW), "f": FunType(LOW, LOW, EMPTY)}
+        s1 = State({"l": IntV(1), "h": IntV(2), "r": LocV(0), "f": c}, Store({0: IntV(3)}))
+        s2 = State({"l": IntV(1), "h": IntV(5), "r": LocV(0), "f": c}, Store({0: IntV(3)}))
+        stats = EquivStats()
+        assert low_equiv(tenv, s1, s2, EquivConfig(rng_seed=9), stats)
+        assert not veq(IntV(1), IntV(2), LOW, stats=stats)
+        assert veq(c, c, FunType(HIGH, HIGH, EMPTY), stats=stats)
+        assert seeds == []
+        assert stats == EquivStats(0, 0)
+
+    def test_a_comparison_that_samples_seeds_one_stream(self, seeds):
+        t = FunType(HIGH, LOW, EMPTY)
+        f1, g1 = ClosV(parse("0"), "x", {}), ClosV(parse("x * 0"), "x", {})
+        f2, g2 = ClosV(parse("1 - 1"), "x", {}), ClosV(parse("x - x"), "x", {})
+        stats = EquivStats()
+        cfg = EquivConfig(rng_seed=9)
+        # two sampled pairs, one stream
+        assert low_equiv({"f": t, "g": t}, State({"f": f1, "g": g1}, S0),
+                         State({"f": f2, "g": g2}, S0), cfg, stats)
+        assert seeds == [9]
+        assert stats == EquivStats(closure_pairs_sampled=2, inconclusive_runs=0)
+        # a pair the samples tell apart, at a fresh comparison
+        assert not veq(ClosV(parse("x"), "x", {}), f1, t, cfg=cfg, stats=stats)
+        assert seeds == [9, 9]
+        assert stats == EquivStats(closure_pairs_sampled=3, inconclusive_runs=0)
 
 
 class TestLowEquiv:

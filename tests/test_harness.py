@@ -73,6 +73,42 @@ class TestGenTenv:
         assert max(sizes) >= 4
 
 
+class TestDraws:
+    """The generator's draws are the stdlib's, from the same stream."""
+
+    SIZES = [*range(1, 71), *(2**k for k in range(63))]  # len() fits a C ssize_t
+    RANGES = [
+        harness.INT_RANGE, (1, harness.MAX_FOR_SPAN), (0, harness.MAX_FOR_SPAN),
+        (0, 6), (1, 3), (1, 8), (-2, 2), (5, 5),
+    ]
+
+    @staticmethod
+    def draws(rng):
+        # one interleaved sequence, so each draw must leave the stream where
+        # the stdlib's would
+        out = []
+        for n in TestDraws.SIZES:
+            out += [rng.choice(range(n)), rng.random()]
+        for a, b in TestDraws.RANGES:
+            out += [rng.randint(a, b) for _ in range(20)]
+        out += [rng.choice("abc") for _ in range(20)]
+        return out
+
+    def test_choice_randint_and_random_match_the_stdlib(self):
+        for seed in range(50):
+            assert self.draws(harness._Gen(random.Random(seed))) == self.draws(random.Random(seed))
+
+    def test_choice_from_an_empty_sequence_raises(self):
+        with pytest.raises(IndexError):
+            harness._Gen(random.Random(0)).choice([])
+
+    def test_randint_over_an_empty_range_raises(self):
+        # without the check, a width of 0 or less would draw forever
+        for a, b in [(1, 0), (0, -3)]:
+            with pytest.raises(ValueError):
+                harness._Gen(random.Random(0)).randint(a, b)
+
+
 class TestGenWelltyped:
     def test_always_typechecks(self):
         for seed in range(60):
