@@ -7,12 +7,16 @@ than any operator, so `f x + 1` is `(f x) + 1`.
 
 `_scan` reads the source in one pass and fills four parallel lists, the
 token columns: each token's kind, text, line and column, ending with `eof`.
-The parser indexes those lists, so looking ahead is reading `kinds[i + 1]`
-and a token costs four list entries and no object of its own. `tokenize`
-zips the columns into one `Token` per token for callers that want them. A
-`Pos` is made only for a node, from the columns of the token where the node
-starts: most tokens (separators, operators, `=`, `)`) start no node, so an
-object per token would mostly be made to be thrown away.
+It makes one regex match per token, which takes the blanks before the token
+along with it. The parser indexes those lists, so looking ahead is reading
+`kinds[i + 1]` and a token costs four list entries and no object of its own.
+`tokenize` zips the columns into one `Token` per token for callers that want
+them. A `Pos` is made only for a node, from the columns of the token where
+the node starts: most tokens (separators, operators, `=`, `)`) start no
+node, so an object per token would mostly be made to be thrown away. An
+operator chain starts where its first operand does, so it shares that
+operand's `Pos`, except when the operand is the inner expression of a
+`(…)` or `{…}`.
 """
 
 from __future__ import annotations
@@ -57,11 +61,16 @@ KEYWORDS = frozenset(
 # literal; 0 means no limit, as on Pythons before 3.10.7.
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
-# Alternatives are tried in order; _scan refuses a word that starts with no letter (`_a`, `²`).
+# One match per token: the blanks before it, then the token, a comment or the
+# end. Alternatives are tried in order; _scan refuses a word that starts with
+# no letter (`_a`, `²`).
 _TOKEN = re.compile(
-    r"(?P<newline>\n)|[ \t\r]+|//[^\n]*|(?P<num>\d+)|(?P<word>\w+)"
-    r"|(?P<sym>==|=>|:=|->|[(){};:=<>+\-*/!@])|(?P<bad>.)"
+    r"[ \t\r]*(?:(?P<newline>\n)|//[^\n]*|(?P<num>\d+)|(?P<word>\w+)"
+    r"|(?P<sym>==|=>|:=|->|[(){};:=<>+\-*/!@])|(?P<bad>.)|\Z)"
 )
+
+# A word's kind: itself for a keyword, else 'ident'.
+_WORD_KINDS = {k: k for k in KEYWORDS}
 
 
 class ParseError(Exception):
@@ -84,7 +93,8 @@ class Token(NamedTuple):
 
 def _scan(source: str) -> tuple[list[str], list[str], list[int], list[int]]:
     """Each token's kind, text, line and column, in four parallel lists that
-    end with `eof`."""
+    end with `eof`. A match takes the blanks before its token too, so the
+    token's text and column are those of its named group."""
     kinds: list[str] = []
     texts: list[str] = []
     lines: list[int] = []
@@ -93,10 +103,10 @@ def _scan(source: str) -> tuple[list[str], list[str], list[int], list[int]]:
     max_digits = _digit_limit()
     for m in _TOKEN.finditer(source):
         kind = m.lastgroup
-        if kind is None:  # blanks or a comment
+        if kind is None:  # blanks, then a comment or the end
             continue
-        text = m.group()
-        col = m.start() - line_start + 1
+        text = m[kind]
+        col = m.start(kind) - line_start + 1
         if kind == "newline":
             if not depth:
                 kinds.append(kind)
@@ -106,7 +116,7 @@ def _scan(source: str) -> tuple[list[str], list[str], list[int], list[int]]:
             line, line_start = line + 1, m.end()
             continue
         if kind == "word" and text[0].isalpha():
-            kind = text if text in KEYWORDS else "ident"
+            kind = _WORD_KINDS.get(text, "ident")
         elif kind == "sym":
             kind = text
             if text == "(":
@@ -142,10 +152,15 @@ _BINOPS = {op.value: (op, level) for op, level in BINOP_LEVEL.items()}
 
 _LET_LEVELS = {"low": LOW, "high": HIGH}
 
+# Atoms that may return the expression inside them, whose position is not theirs.
+_INNER_OPENERS = frozenset(["(", "{"])
+
 
 class _Parser:
     """Recursive descent over the scanner's columns; `i` indexes them and
     never passes the final `eof` before the parse ends."""
+
+    __slots__ = ("kinds", "texts", "lines", "cols", "i", "no_block")
 
     def __init__(self, source: str):
         self.kinds, self.texts, self.lines, self.cols = _scan(source)
@@ -225,8 +240,9 @@ class _Parser:
         return self.parse_binary(CMP_LEVEL)
 
     def parse_let(self) -> Expr:
-        p = self.pos_at(self.i)
-        self.i += 1  # 'let'
+        i = self.i
+        p = Pos(self.lines[i], self.cols[i])
+        self.i = i + 1  # 'let'
         name = self.expect("ident")
         annot: SecType | None = None
         if self.kinds[self.i] == ":":
@@ -268,7 +284,10 @@ class _Parser:
             op, level = entry
             self.i += 1
             self.skip_newlines()
-            p = p or self.pos_at(start)
+            if p is None:
+                # the first operand's own, unless it is the inner expression
+                # of a `(…)` or `{…}`, which starts elsewhere
+                p = self.pos_at(start) if kinds[start] in _INNER_OPENERS else e.pos
             e = Bop(op, e, self.parse_binary(level + 1), pos=p)
             if level == CMP_LEVEL:
                 break
@@ -292,7 +311,7 @@ class _Parser:
     def parse_atom(self) -> Expr:
         kinds, i = self.kinds, self.i
         k = kinds[i]
-        p = self.pos_at(i)
+        p = Pos(self.lines[i], self.cols[i])
         self.i = i + 1
         match k:
             case "ident":

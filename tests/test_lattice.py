@@ -2,6 +2,7 @@
 
 import pytest
 
+from rescheck import lattice
 from rescheck import (
     EMPTY,
     HIGH,
@@ -154,6 +155,43 @@ class TestJoinMeet:
                 want, have = by_leq(ts, upper), got(f, ts)
                 assert len(have) == len(want), (f.__name__, ts)
                 assert all(x is y for x, y in zip(have, want)), (f.__name__, ts)
+
+    def test_two_operand_tables_return_the_folds_operand(self):
+        """`join`, `meet` and `leq` answer a pair of levels from tables. On
+        every pair of the depth-1 universe, every depth-2 pair with a level
+        on one side, each level beside an equal copy of itself, and every
+        depth-1 triple, join and meet return the very object `_bound`'s fold
+        returns, or raise where it raises; leq agrees with the rule it had
+        before the tables."""
+
+        def old_leq(a, b):
+            ta, tb = type(a), type(b)
+            if ta is FunType:
+                return tb is FunType and old_leq(a.param, b.param) and old_leq(b.result, a.result)
+            ra, rb = lattice._RANK.get(ta), lattice._RANK.get(tb)
+            return ra is not None and rb is not None and ra <= rb
+
+        def outcome(f, *args):
+            try:
+                return f(*args)
+            except LatticeError as err:
+                return err.kind, err.operands
+
+        def same(x, y):
+            return x is y or (type(x) is tuple and x == y and all(a is b for a, b in zip(x[1], y[1])))
+
+        levels, d1, d2 = enumerate_types(0), enumerate_types(1), enumerate_types(2)
+        twins = [type(lv)() for lv in levels]  # equal to a level, but another object
+        pairs = [(a, b) for a in d1 for b in d1]
+        pairs += [p for lv in levels for t in d2 for p in ((lv, t), (t, lv))]
+        pairs += [p for lv, twin in zip(levels, twins) for p in ((lv, twin), (twin, lv))]
+        for a, b in pairs:
+            assert leq(a, b) is old_leq(a, b), (a, b)
+        lists = [list(p) for p in pairs] + [[a, b, c] for a in d1 for b in d1 for c in d1]
+        for ts in lists:
+            for f, upper in ((join, True), (meet, False)):
+                want = outcome(lattice._bound, ts, f.__name__, upper)
+                assert same(outcome(f, ts), want), (f.__name__, ts)
 
     def test_function_joins_through_comparability(self):
         f_small = FunType(LOW, HIGH, EMPTY)

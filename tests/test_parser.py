@@ -277,6 +277,38 @@ class TestPositions:
         assert e.second.pos is not None
         assert (e.second.pos.line, e.second.pos.col) == (2, 1)
 
+    @pytest.mark.parametrize(
+        "rhs, expected",
+        [
+            ("{ x } + 1", [((1, 9), (1, 11))]),
+            ("{\n  y\n  x\n} * 2 + 1", [((1, 9), (1, 9)), ((1, 9), (2, 3))]),
+            ("(x) + 1", [((1, 9), (1, 10))]),
+            ("( \n x ) < 1", [((1, 9), (2, 2))]),
+            ("-3 + 1", [((1, 9), (1, 9))]),
+            ("f x + 1", [((1, 9), (1, 9))]),
+            ("(f) x + 1", [((1, 9), (1, 10))]),
+            ("if c { 1 } else { 2 } + 1", [((1, 9), (1, 9))]),
+            ("!r + 1", [((1, 9), (1, 9))]),
+            ("1 + { x } * 2", [((1, 9), (1, 9)), ((1, 13), (1, 15))]),
+            ("() == x", [((1, 9), (1, 9))]),
+        ],
+    )
+    def test_operator_chain_positions(self, rhs, expected):
+        """A chain of operators starts at its first token, and its first
+        operand keeps its own position: inside the braces or parentheses
+        when the operand is a block or a parenthesized expression. Each
+        pair is a `Bop`'s (line, col) and its `lhs`'s, the operators in
+        preorder."""
+
+        def chains(e):
+            if not isinstance(e, Bop):
+                return []
+            here = ((e.pos.line, e.pos.col), (e.lhs.pos.line, e.lhs.pos.col))
+            return [here, *chains(e.lhs), *chains(e.rhs)]
+
+        let = parse("let z = " + rhs)
+        assert chains(let.rhs) == expected
+
     def test_error_position(self):
         with pytest.raises(ParseError) as exc:
             parse("let x = @")
@@ -345,6 +377,9 @@ class TestTokenizer:
             tokenize("x\nx + " + "1" * 4301)
         assert (exc.value.line, exc.value.col) == (2, 5)
         assert exc.value.message == "integer literal longer than 4300 digits"
+        with pytest.raises(ParseError) as exc:
+            tokenize("x =  \t" + "1" * 4301)
+        assert (exc.value.line, exc.value.col) == (1, 7)
 
     @pytest.mark.parametrize(
         "source, expected",
@@ -401,6 +436,31 @@ class TestTokenizer:
             (":==", [(":=", ":=", 1, 1), ("=", "=", 1, 3), ("eof", "", 1, 4)]),
             ("->-", [("->", "->", 1, 1), ("-", "-", 1, 3), ("eof", "", 1, 4)]),
             ("1x", [("num", "1", 1, 1), ("ident", "x", 1, 2), ("eof", "", 1, 3)]),
+            ("   ", [("eof", "", 1, 4)]),
+            ("  \t  ", [("eof", "", 1, 6)]),
+            ("x \t \t", [("ident", "x", 1, 1), ("eof", "", 1, 6)]),
+            ("x // c", [("ident", "x", 1, 1), ("eof", "", 1, 7)]),
+            (
+                "a \r\n\r\n b\r\n",
+                [
+                    ("ident", "a", 1, 1),
+                    ("newline", "\n", 1, 4),
+                    ("newline", "\n", 2, 2),
+                    ("ident", "b", 3, 2),
+                    ("newline", "\n", 3, 4),
+                    ("eof", "", 4, 1),
+                ],
+            ),
+            (
+                "( \t\n x)",
+                [("(", "(", 1, 1), ("ident", "x", 2, 2), (")", ")", 2, 3), ("eof", "", 2, 4)],
+            ),
+            ("x  $", (1, 4)),
+            ("let  ¿", (1, 6)),
+            (
+                "letter iffy",
+                [("ident", "letter", 1, 1), ("ident", "iffy", 1, 8), ("eof", "", 1, 12)],
+            ),
         ],
     )
     def test_edge_cases(self, source, expected):
