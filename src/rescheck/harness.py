@@ -62,6 +62,8 @@ from .interpreter import (
 from .lattice import join, leq, meet  # meet: unused here, but bench/spans.py traces harness.meet
 from .parser import ParseError, parse
 from .syntax import (
+    BINOP_LEVEL,
+    CMP_LEVEL,
     EMPTY,
     HIGH,
     LOW,
@@ -190,8 +192,8 @@ def _shape(name: str, t: SecType) -> str:
 
 
 _BOTH = (LOW, HIGH)
-_INT_OPS = (BinOp.ADD, BinOp.SUB, BinOp.MUL, BinOp.DIV)
-_BOOL_OPS = (BinOp.EQ, BinOp.LT, BinOp.GT)
+_BOOL_OPS = tuple(op for op, level in BINOP_LEVEL.items() if level == CMP_LEVEL)
+_INT_OPS = tuple(op for op, level in BINOP_LEVEL.items() if level != CMP_LEVEL)
 
 
 # Program generator -----------------------------------------------------------

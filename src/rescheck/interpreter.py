@@ -21,11 +21,12 @@ fixed order. So its code takes no fuel, and its node count is charged in one
 step, by the rule that evaluates it first after its own charge or else by
 one wrapper, with the outcome of one charge per node at every fuel.
 
-A pure operator runs one kernel, generated once per operator and operand kinds:
-it reads a variable (`env[x]`) or a dereference (`data[env[x].loc]`) inline,
-takes an int literal as a default and calls any other operand's code. A failed
-read, or a value the operator does not take, raises a Python error, which
-`_fault` turns into the fault the operands' checked code or the operator gives.
+Every operator runs one kernel, generated once per operator and operand kinds.
+A pure one reads a variable (`env[x]`) or a dereference (`data[env[x].loc]`)
+inline, takes an int literal as a default and calls any other operand's code;
+an impure one hands its operands' values to its kernel. A failed read, or a
+value the operator does not take, raises a Python error, which `_fault` turns
+into the fault the operands' checked code or the operator gives.
 
 Nesting depth is its own outcome. Evaluation that nests deeper than
 `_MAX_DEPTH` rule applications ends in DepthExceeded, not FuelExhausted:
@@ -226,7 +227,6 @@ def _eq(a: Value, b: Value) -> BoolV:
 _TEMPLATES = {BinOp.ADD: "{} + {}", BinOp.SUB: "{} - {}", BinOp.MUL: "{} * {}",
               BinOp.DIV: "_div({}, {})", BinOp.EQ: "_eq({}, {})",
               BinOp.LT: "_BOOL({} < {})", BinOp.GT: "_BOOL({} > {})"}
-_OPS = {op: eval(f"lambda a, b: {t.format('a', 'b')}") for op, t in _TEMPLATES.items()}
 
 # How a kernel reads an operand of each kind from its default, `x` on the left and `y` on
 # the right: a variable or dereference by name, an int literal as is, other pure code by a call.
@@ -271,7 +271,7 @@ class _Evaluator:
     the fuel left does not cover calls `short`, which never returns; to find
     where the run stops, each node is compiled `at` charges into its charge.
     `_operand` picks how a kernel reads each operand; an impure operator
-    applies its `_OPS` function to its operands' values.
+    hands its operands' values to the `num`, `num` kernel.
     """
 
     __slots__ = ("store", "fuel", "env")
@@ -341,16 +341,13 @@ class _Evaluator:
             b, y = self._operand(e.rhs, level + 1, rhs)
             defaults = (x, y, self.store.data, (pos, k, lhs, rhs))
             return FunctionType(_kernel[e.op, a, b], globals(), "bop", defaults), k - at
-        # Its charge covers a pure left operand; a pure right one pays its own.
-        op, first, rhs = _OPS[e.op], (lhs,) if n1 else (), self.charged(rhs, n2, at + 1 + n1)
+        # Its charge covers a pure left operand; a pure right one pays its own. Its operands
+        # run outside the kernel of two values, so what they raise is their own.
+        op = FunctionType(_kernel[e.op, "num", "num"], globals(), "bop", (None, (pos, k, lhs, rhs)))
 
-        def impure(env: Env) -> Value:
-            v1, v2 = lhs(env), rhs(env)  # outside the `try`: what they raise is their own
-            try:
-                return op(v1, v2)
-            except (TypeError, ZeroDivisionError) as exc:
-                _fault(exc, env, pos, k, lhs, rhs)
-        return self.charged(impure, 1 + n1, at, first), 0
+        def impure(env: Env, lhs=lhs, rhs=self.charged(rhs, n2, at + 1 + n1), op=op) -> Value:
+            return op(env, lhs(env), rhs(env))
+        return self.charged(impure, 1 + n1, at, (lhs,) if n1 else ()), 0
 
     def _operand(self, e: Expr, level: int, code: Code) -> tuple[str, object]:
         """A pure operand's kind in a kernel and its default, given its checked `code`: any

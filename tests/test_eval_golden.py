@@ -1,15 +1,17 @@
 """The evaluator's exact behaviour, pinned by a golden file.
 
-`eval_golden.json` was generated at commit e79a518, before the evaluator's
-dispatch was rewritten, by running this module as a script:
+`eval_golden.json` was first generated at commit e79a518, before the
+evaluator's dispatch was rewritten. Running this module as a script
+records every row from the definitional interpreter in `definitional.py`,
+not from the code under test, and reproduces the file byte for byte:
 
     PYTHONPATH=src:tests python tests/test_eval_golden.py
 
 Each row is one program and its exact fuel cost: the smallest fuel of at
-most 2,000 that does not give `FuelExhausted` (found by bisection, since
-outcomes are monotone in fuel), or null when 2,000 is not enough. The row
-also holds the outcome at that fuel: its kind, the value, env and sorted
-store of an `Ok`, or the kind and position of a fault. The rows are
+most 2,000 that does not give `FuelExhausted` (the fuel the reference
+spends), or null when 2,000 is not enough. The row also holds the outcome
+at that fuel: its kind, the value, env and sorted store of an `Ok`, or the
+kind and position of a fault. The rows are
 
 - 1,000 `astgen` trees (seeds 0-999, depth 1 + seed % 5), run from the
   fixed state `start_state()`, which binds some of astgen's names and leaves
@@ -47,6 +49,7 @@ from rescheck import (
 )
 
 import astgen
+import definitional
 
 GOLDEN = Path(__file__).with_name("eval_golden.json")
 MAX_FUEL = 2000
@@ -72,7 +75,7 @@ def tree(seed: int):
     return astgen.gen_expr(random.Random(seed), 1 + seed % 5)
 
 
-def run_row(row: dict, fuel: int):
+def run_row(row: dict, fuel: int, evaluate=evaluate):
     if row["source"] == "astgen":
         env, store = start_state()
         return evaluate(tree(row["seed"]), env, store, fuel)
@@ -95,17 +98,11 @@ def outcome_json(o) -> dict:
 
 
 def measure(row: dict) -> dict:
-    """Fill in the row's fuel cost and its outcome at that fuel."""
-    if isinstance(run_row(row, MAX_FUEL), FuelExhausted):
+    """Fill in the row's fuel cost and its outcome at that fuel, from the reference."""
+    out, cost = run_row(row, MAX_FUEL, definitional.run)
+    if isinstance(out, FuelExhausted):
         return {**row, "cost": None, "outcome": {"kind": "FuelExhausted"}}
-    lo, hi = 0, MAX_FUEL  # FuelExhausted at lo, not at hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if isinstance(run_row(row, mid), FuelExhausted):
-            lo = mid
-        else:
-            hi = mid
-    return {**row, "cost": hi, "outcome": outcome_json(run_row(row, hi))}
+    return {**row, "cost": cost, "outcome": outcome_json(out)}
 
 
 def build_rows() -> list[dict]:
@@ -155,6 +152,10 @@ def test_every_fuel_gives_the_golden_outcome():
 def test_rows_cover_every_outcome_kind():
     kinds = {r["outcome"]["kind"] for r in json.loads(GOLDEN.read_text())}
     assert kinds == {"Ok", "RuntimeFault", "FuelExhausted"}
+
+
+def test_the_reference_records_every_row():
+    assert build_rows() == json.loads(GOLDEN.read_text())
 
 
 if __name__ == "__main__":

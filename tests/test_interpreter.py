@@ -2,7 +2,6 @@
 
 import dataclasses
 import pickle
-import random
 
 import pytest
 
@@ -23,11 +22,9 @@ from rescheck import (
     pretty_value,
     run_program,
 )
-from rescheck import LOW, interpreter, syntax
-from rescheck.harness import GenConfig, gen_lowequiv_states, gen_tenv, gen_welltyped
+from rescheck import interpreter, syntax
 
-import astgen
-from test_eval_golden import start_state
+import definitional
 
 FUEL = 10_000
 
@@ -175,12 +172,14 @@ class TestArithmetic:
         assert out.at is not None and (out.at.line, out.at.col) == (1, 1)
 
     @pytest.mark.parametrize(
-        "form", ["a {} {}", "id a {} id {}"], ids=["variables", "applications"]
+        "form", ["a {} {}", "id a {} id {}", "a {} id {}", "id a {} {}"],
+        ids=["variables", "applications", "pure-left", "pure-right"],
     )
     @pytest.mark.parametrize("op", list(OPERATOR_TABLE))
     def test_every_operator_on_every_pair_of_value_kinds(self, op, form):
-        # as variables the operator is pure and reads them raw; as the
-        # results of applications it is impure and its operands are checked
+        # as variables the operator is pure and reads them raw; beside an
+        # application it is impure: its charge covers a pure left operand,
+        # and a pure right one pays its own
         ident = ClosV(syntax.Var("x"), "x", {})
         for left, lv in LEFT_OPERANDS.items():
             for right, rv in RIGHT_OPERANDS.items():
@@ -645,55 +644,16 @@ class TestCompile:
             assert out == DepthExceeded(2500)
 
 
-def checked_operand(self, e, level, code):
-    """`_Evaluator._operand` that reads no operand inline: a kernel calls each operand's code."""
-    return "code", code
-
-
-def at_every_fuel(e, env, store, top=300):
-    """The outcomes of `e` at every fuel up to its cost + 1, or up to `top` + 1
-    if it costs more, and at its cost and cost + 1: the least fuel that does
-    not give FuelExhausted, found by bisection, or 20,000 if it is more."""
-    def out(fuel):
-        return evaluate(e, dict(env), store.copy(), fuel)
-
-    lo, hi = 0, 20_000  # FuelExhausted at lo; the cost is at most hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if isinstance(out(mid), FuelExhausted) else (lo, mid)
-    fuels = [*range(min(hi, top) + 2), hi, hi + 1]
-    return [(fuel, out(fuel)) for fuel in fuels]
+def reference(e, env, store, fuel, level=0):
+    """The definitional interpreter's outcome, or its value if it is Ok."""
+    out = definitional.run(e, env, store, fuel, level)[0]
+    return out.value if isinstance(out, Ok) else out
 
 
 class TestIntCode:
     """A pure operator is a kernel that reads a variable or dereference
     operand inline, and runs its checked code only where that read fails.
-    Each test takes the outcomes of kernels that call every operand's checked
-    code as the reference, by patching out the inline reads."""
-
-    def test_generated_trees_and_programs_match_the_exact_code(self, monkeypatch):
-        runs = []
-        for seed in range(600):  # astgen trees mix every form, typed or not
-            env, store = start_state()
-            runs.append((astgen.gen_expr(random.Random(seed), 1 + seed % 5), env, store))
-        for seed in range(150):  # programs of the NI harness, from both of their states
-            cfg = GenConfig(rng_seed=seed)
-            tenv = gen_tenv(cfg)
-            prog = gen_welltyped(cfg, tenv, LOW)
-            runs += [(prog, s.env, s.store) for s in gen_lowequiv_states(cfg, tenv)]
-        raw = [at_every_fuel(*run) for run in runs]
-        monkeypatch.setattr(interpreter._Evaluator, "_operand", checked_operand)
-        checked = [at_every_fuel(*run) for run in runs]
-        assert sum(map(len, raw)) > 15_000
-        for run, got, want in zip(runs, raw, checked):
-            assert got == want, syntax.pretty(run[0])
-        kinds = {type(o) for outs in raw for _, o in outs}
-        assert kinds == {Ok, RuntimeFault, FuelExhausted}
-        # kernels are generated per operator and operand kinds, never per program
-        operands = {"var", "deref", "num", "code"}
-        keys = {(op, a, b) for op in syntax.BinOp for a in operands for b in operands}
-        assert len(keys) == 112 and set(interpreter._kernel) <= keys
-        assert {a for _, a, _ in interpreter._kernel} == operands
+    Each test compares its outcomes with the definitional interpreter's."""
 
     @pytest.mark.parametrize(
         "src, cost, value",
@@ -708,17 +668,14 @@ class TestIntCode:
         ids=["literals", "literal-comparison", "literal-operand", "boolean-==",
              "==-of-two-names", "deref-and-vars"],
     )
-    def test_a_value_at_every_fuel(self, src, cost, value, monkeypatch):
+    def test_a_value_at_every_fuel(self, src, cost, value):
         # costs and values recorded with every operator testing its operands' values
-        def outs():
-            return [evaluate(parse(src), dict(CONSUMER_ENV), consumer_store(), f)
-                    for f in range(cost + 2)]
-
-        raw = outs()
-        assert all(isinstance(o, FuelExhausted) for o in raw[:cost])
-        assert [o.value for o in raw[cost:]] == [value, value]
-        monkeypatch.setattr(interpreter._Evaluator, "_operand", checked_operand)
-        assert raw == outs()
+        outs = [evaluate(parse(src), dict(CONSUMER_ENV), consumer_store(), f)
+                for f in range(cost + 2)]
+        assert all(isinstance(o, FuelExhausted) for o in outs[:cost])
+        assert [o.value for o in outs[cost:]] == [value, value]
+        assert outs == [definitional.run(parse(src), dict(CONSUMER_ENV), consumer_store(), f)[0]
+                        for f in range(cost + 2)]
 
     @pytest.mark.parametrize(
         "src, level, last",
@@ -733,37 +690,31 @@ class TestIntCode:
             ("x + (!r * 2)", 2498, DepthExceeded(2500)),
         ],
     )
-    def test_a_tree_whose_leaves_sit_at_the_depth_limit(self, src, level, last, monkeypatch):
-        e = parse(src)
+    def test_a_tree_whose_leaves_sit_at_the_depth_limit(self, src, level, last):
+        e, outs = parse(src), []
+        for fuel in range(7):  # the value or outcome of `e` compiled `level` deep
+            ev = interpreter._Evaluator(consumer_store(), fuel)
+            try:
+                outs.append(ev.charged(*ev.compile(e, level))(dict(CONSUMER_ENV)))
+            except interpreter._Stop as stop:
+                outs.append(stop.outcome)
+        assert outs[0] == FuelExhausted() and outs[-1] == last
+        assert outs == [reference(e, dict(CONSUMER_ENV), consumer_store(), fuel, level)
+                        for fuel in range(7)]
 
-        def outs():  # the value or outcome of `e` compiled `level` deep, at fuel 0 to 6
-            got = []
-            for fuel in range(7):
-                ev = interpreter._Evaluator(consumer_store(), fuel)
-                try:
-                    got.append(ev.charged(*ev.compile(e, level))(dict(CONSUMER_ENV)))
-                except interpreter._Stop as stop:
-                    got.append(stop.outcome)
-            return got
-
-        raw = outs()
-        assert raw[0] == FuelExhausted() and raw[-1] == last
-        monkeypatch.setattr(interpreter._Evaluator, "_operand", checked_operand)
-        assert raw == outs()
+    def test_compiling_an_operator_makes_no_closure_cells(self):
+        # pure or impure, an operator's code takes its operands and fault as defaults
+        assert interpreter._Evaluator._bop.__code__.co_cellvars == ()
 
     @pytest.mark.parametrize("src, cost, col", [("!p + 1", 2, 1), ("1 + !p", 3, 5)])
-    def test_a_dangling_location_read_inside_an_operator(self, src, cost, col, monkeypatch):
+    def test_a_dangling_location_read_inside_an_operator(self, src, cost, col):
         # `p` holds a location the store has not got: the kernel's inline
         # read fails, and the checked dereference faults where it stands
-        def outs():
-            return [run(src, env={"p": LocV(9)}, store=Store({0: IntV(1)}), fuel=fuel)
-                    for fuel in range(cost + 3)]
-
-        raw = outs()
+        env, store = {"p": LocV(9)}, Store({0: IntV(1)})
+        outs = [run(src, env=env, store=store, fuel=fuel) for fuel in range(cost + 3)]
         fault = RuntimeFault(FaultKind.NOT_A_LOC, syntax.Pos(1, col))
-        assert raw == [FuelExhausted()] * cost + [fault] * 3
-        monkeypatch.setattr(interpreter._Evaluator, "_operand", checked_operand)
-        assert raw == outs()
+        assert outs == [FuelExhausted()] * cost + [fault] * 3
+        assert outs == [reference(parse(src), env, store, fuel) for fuel in range(cost + 3)]
 
 
 class TestRunProgram:
